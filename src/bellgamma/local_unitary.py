@@ -4,13 +4,16 @@ Contains the parameterized 2x2 and 3x3 rotations used by the qubit-qutrit
 zeroing construction, a closed-form transformation driving amp[0,0] and
 amp[1,2] to zero for 2x3 states, the Schmidt-basis rotation, and a
 derivative-free coordinate-ascent maximizer of gamma over U(m) x U(n).
+The maximizer runs its restarts in lockstep as one batch: parameters are
+(B, m*m) and (B, n*n) arrays, and each probe of a line search is one
+batched evaluation of the objective.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -169,7 +172,11 @@ def _level_pairs(d: int) -> tuple[tuple[int, int], ...]:
 
 
 def unitary_from_flat(d: int, x: np.ndarray) -> np.ndarray:
-    """Materialize a d x d unitary from d*d real parameters.
+    """Materialize d x d unitaries from d*d real parameters each.
+
+    ``x`` has shape (..., d*d): any leading batch axes carry over to the
+    (..., d, d) result, and every unitary of a batch is built by the same
+    operations as it would be alone.
 
     Layout: (theta, phi) per level pair (d*(d-1) values, pair-major), then d
     diagonal phases.  The result is the product of the plane rotations
@@ -178,55 +185,29 @@ def unitary_from_flat(d: int, x: np.ndarray) -> np.ndarray:
     complex plane rotations).
     """
     x = np.asarray(x, dtype=float)
-    pairs = _level_pairs(d)
-    if x.size != d * d:
-        raise ValueError(f"expected {d * d} parameters for U({d}), got {x.size}")
-    u = np.diag(np.exp(1j * x[2 * len(pairs):])).astype(complex)
-    for idx, (i, j) in enumerate(pairs):
-        theta, phi = x[2 * idx], x[2 * idx + 1]
-        c, s = math.cos(theta), math.sin(theta)
-        e = np.exp(1j * phi)
-        ri = c * u[i] - e * s * u[j]
-        rj = np.conj(e) * s * u[i] + c * u[j]
-        u[i], u[j] = ri, rj
-    return u
-
-
-@dataclass(frozen=True)
-class UnitaryParams:
-    """Plane-rotation chart over U(d) (used by the maximizer).
-
-    ``values`` holds one (angle, phase) pair per level pair followed by the
-    d diagonal phases; ``rotations`` and ``diag_phases`` are views of those
-    two blocks.
-    """
-
-    dim: int
-    values: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        vals = (
-            np.zeros(self.dim * self.dim)
-            if self.values is None
-            else np.asarray(self.values, dtype=float).copy()
+    if x.ndim == 0 or x.shape[-1] != d * d:
+        raise ValueError(
+            f"expected {d * d} parameters for U({d}), got shape {x.shape}"
         )
-        if vals.size != self.dim * self.dim:
-            raise ValueError(
-                f"expected {self.dim * self.dim} parameters, got {vals.size}"
-            )
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def rotations(self) -> np.ndarray:
-        n_pairs = self.dim * (self.dim - 1) // 2
-        return self.values[: 2 * n_pairs].reshape(n_pairs, 2)
-
-    @property
-    def diag_phases(self) -> np.ndarray:
-        return self.values[self.dim * (self.dim - 1):]
-
-    def materialize(self) -> np.ndarray:
-        return unitary_from_flat(self.dim, self.values)
+    rows = x.reshape(-1, d * d)
+    count, pairs = len(rows), _level_pairs(d)
+    rot = 2 * len(pairs)
+    # Every parameter enters through e^(i x): a rotation angle by its real
+    # and imaginary parts (cos, sin), a phase as it is.
+    z = np.exp(1j * rows)
+    c, s, e = z.real[:, 0:rot:2], z.imag[:, 0:rot:2], z[:, 1:rot:2]
+    u = np.zeros((count, d * d), dtype=complex)
+    u[:, :: d + 1] = z[:, rot:]
+    u = u.reshape(count, d, d)
+    # Pair (i, j) maps rows (r_i, r_j) to (c r_i - e s r_j, conj(e) s r_i + c r_j);
+    # coef[:, 0] holds each pair's two coefficients of r_i, coef[:, 1] of r_j.
+    coef = np.concatenate([c, np.conj(e) * s, -(e * s), c], axis=1)
+    coef = coef.reshape(count, 2, 2, len(pairs), 1)
+    for idx, (i, j) in enumerate(pairs):
+        # the slice i:j+1:j-i selects rows i and j
+        u[:, i:j + 1:j - i] = (coef[:, 0, :, idx] * u[:, i, None]
+                               + coef[:, 1, :, idx] * u[:, j, None])
+    return u.reshape(*x.shape[:-1], d, d)
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +221,8 @@ class OptimizerOptions:
     The objective is smooth except for absolute-value kinks where paired
     coefficients tie, so the search is gradient-free: coordinate-wise
     periodic scans refined by golden-section, swept until a full sweep
-    improves by at most ``tol``.
+    improves by at most ``tol``.  All ``restarts`` run in lockstep as one
+    batch; each leaves it on its own convergence test or at ``max_sweeps``.
     """
 
     restarts: int = 8
@@ -265,86 +247,137 @@ class SupremumReport:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _line_max(f1d, x0: float, f0: float, coarse: int, line_tol: float):
-    """Maximize a 2*pi-periodic function of one variable.
+def _lockstep_line_max(f1d, x0: np.ndarray, f0: np.ndarray, coarse: int,
+                       line_tol: float):
+    """Maximize R 2*pi-periodic functions of one variable at once.
 
-    Coarse periodic scan picks the best cell, golden-section refines it; the
-    incumbent (x0, f0) is never abandoned for a worse value.
+    ``f1d`` maps arguments of shape (..., R) to values of the same shape,
+    function r taking the arguments in column r; the coarse scan and the
+    first two golden probes are one call each.  Per row, a coarse periodic
+    scan picks the best cell and golden-section refines it; the incumbent
+    (x0, f0) is never abandoned for a worse value.  A bracket shrinks by the
+    same factor whichever side it keeps, so the rows take their golden
+    steps together, each picking its side from its own two probes.
+    Rounding can bring one row's bracket within ``line_tol`` a step before
+    another's; such a row is still probed but left as it is.
     """
     best_x, best_f = x0, f0
     step = 2.0 * math.pi / coarse
     cx = x0
-    for i in range(1, coarse):
-        x = x0 + i * step
-        fx = f1d(x)
-        if fx > best_f:
-            best_x, best_f, cx = x, fx, x
+    scan = x0 + np.arange(1, coarse)[:, None] * step
+    for x, fx in zip(scan, f1d(scan)):
+        up = fx > best_f
+        best_x, best_f = np.where(up, x, best_x), np.where(up, fx, best_f)
+        cx = np.where(up, x, cx)
     a, b = cx - step, cx + step
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f1d(c), f1d(d)
-    while b - a > line_tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f1d(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f1d(d)
+    fc, fd = f1d(np.stack([c, d]))
+    while True:
+        live = b - a > line_tol
+        if not live.any():
+            break
+        left = live & (fc > fd)  # keep [a, d]: the old c becomes d
+        right = live & ~left  # keep [c, b]: the old d becomes c
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
+        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fp = f1d(probe)
+        c, fc = np.where(left, probe, c), np.where(left, fp, fc)
+        d, fd = np.where(right, probe, d), np.where(right, fp, fd)
     for x, fx in ((c, fc), (d, fd)):
-        if fx > best_f:
-            best_x, best_f = x, fx
+        up = fx > best_f
+        best_x, best_f = np.where(up, x, best_x), np.where(up, fx, best_f)
     return best_x, best_f
 
 
-def _ascend(objective, m: int, n: int, opts: OptimizerOptions):
-    """Coordinate ascent over the U(m) x U(n) chart starting at the identity.
+def _lockstep_ascent(objective, starts: np.ndarray, m: int, n: int,
+                     opts: OptimizerOptions):
+    """Coordinate ascent over the U(m) x U(n) chart, one restart per start.
 
-    ``objective(ua, ub)`` evaluates gamma for the candidate pair.  Returns
-    (best value, ua, ub, sweeps, converged).
+    ``starts`` stacks the input rotated to each restart's base point.  All
+    restarts begin at the identity of the chart and sweep in lockstep; a
+    restart leaves the batch once a full sweep improves it by at most
+    ``opts.tol``.  ``objective(starts[rows], ua, ub)`` evaluates gamma for a
+    batch of candidate pairs, broadcasting leading axes of ``ua`` or ``ub``
+    (several probes per row) against the rows.  Returns per-restart arrays
+    (value, ua, ub, sweeps, converged).
     """
-    xa = np.zeros(m * m)
-    xb = np.zeros(n * n)
-    ua = unitary_from_flat(m, xa)
-    ub = unitary_from_flat(n, xb)
-    f = objective(ua, ub)
-    converged = False
-    sweeps = 0
+    count = len(starts)
+    xs = [np.zeros((count, m * m)), np.zeros((count, n * n))]
+    us = [unitary_from_flat(m, xs[0]), unitary_from_flat(n, xs[1])]
+    f = objective(starts, *us)
+    sweeps = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
     for _ in range(opts.max_sweeps):
-        sweeps += 1
-        f_start = f
-
-        def eval_a(t, ci):
-            old = xa[ci]
-            xa[ci] = t
-            val = objective(unitary_from_flat(m, xa), ub)
-            xa[ci] = old
-            return val
-
-        for ci in range(xa.size):
-            xa[ci], f = _line_max(
-                lambda t: eval_a(t, ci), xa[ci], f, opts.coarse_points, opts.line_tol
-            )
-        ua = unitary_from_flat(m, xa)
-
-        def eval_b(t, ci):
-            old = xb[ci]
-            xb[ci] = t
-            val = objective(ua, unitary_from_flat(n, xb))
-            xb[ci] = old
-            return val
-
-        for ci in range(xb.size):
-            xb[ci], f = _line_max(
-                lambda t: eval_b(t, ci), xb[ci], f, opts.coarse_points, opts.line_tol
-            )
-        ub = unitary_from_flat(n, xb)
-
-        if f - f_start <= opts.tol:
-            converged = True
+        if active.size == 0:
             break
-    return f, ua, ub, sweeps, converged
+        sweeps[active] += 1
+        start = starts[active]
+        f_act = f[active]
+        f_start = f_act
+        for side, d in enumerate((m, n)):
+            x = xs[side][active]
+            pair = [u[active] for u in us]
+
+            def along(t, ci):
+                trial = np.empty(t.shape + x.shape[1:])
+                trial[...] = x
+                trial[..., ci] = t
+                pair[side] = unitary_from_flat(d, trial)
+                return objective(start, *pair)
+
+            for ci in range(d * d):
+                x[:, ci], f_act = _lockstep_line_max(
+                    lambda t: along(t, ci), x[:, ci], f_act,
+                    opts.coarse_points, opts.line_tol,
+                )
+            xs[side][active] = x
+            us[side][active] = unitary_from_flat(d, x)
+        f[active] = f_act
+        done = f_act - f_start <= opts.tol
+        converged[active[done]] = True
+        active = active[~done]
+    return f, us[0], us[1], sweeps, converged
+
+
+def _amp_objective(amp: np.ndarray, ua: np.ndarray, ub: np.ndarray,
+                   dims: BipartiteDims, n2: float) -> np.ndarray:
+    return _gamma_total_amp(ua @ amp @ ub.swapaxes(-1, -2), dims, n2)
+
+
+def _dense_objective(mat: np.ndarray, ua: np.ndarray, ub: np.ndarray,
+                     dims: BipartiteDims, n2: float) -> np.ndarray:
+    # kron(ua, ub) per row, as the broadcast outer product np.kron forms
+    w = ua[..., :, None, :, None] * ub[..., None, :, None, :]
+    w = w.reshape(*w.shape[:-4], dims.size, dims.size)
+    return _gamma_total_dense(w @ mat @ w.conj().swapaxes(-1, -2), dims, n2)
+
+
+def _restart_batch(state: PureState | DensityOperator, cfg: MeasureConfig,
+                   opts: OptimizerOptions):
+    """Base points of the restarts, the state rotated to each base point as
+    one stacked array, and the batched objective over that array."""
+    dims = state.dims
+    bases: list[tuple[np.ndarray, np.ndarray]] = [
+        (np.eye(dims.m, dtype=complex), np.eye(dims.n, dtype=complex))
+    ]
+    if isinstance(state, PureState) and opts.include_schmidt and opts.restarts > 1:
+        _, rot = schmidt_rotation(state)
+        bases.append((rot.u_a, rot.u_b))
+    while len(bases) < opts.restarts:
+        u = random_local_unitary(dims, [opts.seed, len(bases)])
+        bases.append((u.u_a, u.u_b))
+
+    if isinstance(state, PureState):
+        start = np.array([ba @ state.amp @ bb.T for ba, bb in bases])
+        evaluate = _amp_objective
+    else:
+        joint = [kron(ba, bb) for ba, bb in bases]
+        start = np.array([w @ state.mat @ w.conj().T for w in joint])
+        evaluate = _dense_objective
+    return bases, start, lambda rotated, ua, ub: evaluate(rotated, ua, ub, dims, cfg.n2)
 
 
 def maximize_gamma(
@@ -357,62 +390,28 @@ def maximize_gamma(
     Restart base points are the identity, the Schmidt rotation (pure inputs;
     the analytic supremum candidate is therefore always reachable) and Haar
     random local unitaries; each restart runs coordinate ascent in the
-    plane-rotation chart composed with its base point.  Deterministic given
-    ``opts.seed``.  Values above the Schmidt benchmark are reported as
-    found, never clipped.
+    plane-rotation chart composed with its base point.  The restarts run in
+    lockstep as one batch, so each coordinate probe is one array evaluation
+    over every restart still sweeping; a restart follows the same path as it
+    would alone.  The first restart with the largest value wins.
+    Deterministic given ``opts.seed``.  Values above the Schmidt benchmark
+    are reported as found, never clipped.
     """
     opts = opts or OptimizerOptions()
-    dims = state.dims
-    m, n = dims.m, dims.n
-    pure = isinstance(state, PureState)
-
-    bases: list[tuple[np.ndarray, np.ndarray]] = [
-        (np.eye(m, dtype=complex), np.eye(n, dtype=complex))
-    ]
-    schmidt_val: float | None = None
-    if pure:
-        schmidt_val = gamma_schmidt(state, cfg)
-        if opts.include_schmidt and opts.restarts > 1:
-            _, rot = schmidt_rotation(state)
-            bases.append((rot.u_a, rot.u_b))
-    while len(bases) < opts.restarts:
-        u = random_local_unitary(dims, [opts.seed, len(bases)])
-        bases.append((u.u_a, u.u_b))
-
-    best_f = -1.0
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
-    total_sweeps = 0
-    all_converged = True
-    for base_a, base_b in bases:
-        if pure:
-            amp_base = base_a @ state.amp @ base_b.T
-
-            def objective(ua, ub, _amp=amp_base):
-                return _gamma_total_amp(ua @ _amp @ ub.T, dims, cfg.n2)
-
-        else:
-            w = kron(base_a, base_b)
-            mat_base = w @ state.mat @ w.conj().T
-
-            def objective(ua, ub, _mat=mat_base):
-                wj = np.kron(ua, ub)
-                return _gamma_total_dense(wj @ _mat @ wj.conj().T, dims, cfg.n2)
-
-        f, ua, ub, sweeps, converged = _ascend(objective, m, n, opts)
-        total_sweeps += sweeps
-        all_converged = all_converged and converged
-        if f > best_f:
-            best_f = f
-            best_pair = (ua @ base_a, ub @ base_b)
-
-    assert best_pair is not None
+    schmidt_val = gamma_schmidt(state, cfg) if isinstance(state, PureState) else None
+    bases, start, objective = _restart_batch(state, cfg, opts)
+    f, ua, ub, sweeps, converged = _lockstep_ascent(
+        objective, start, state.dims.m, state.dims.n, opts
+    )
+    best = int(np.argmax(f))
+    base_a, base_b = bases[best]
     return SupremumReport(
-        best_gamma=best_f,
-        best_unitary=LocalUnitary(*best_pair),
+        best_gamma=float(f[best]),
+        best_unitary=LocalUnitary(ua[best] @ base_a, ub[best] @ base_b),
         schmidt_gamma=schmidt_val,
-        iterations=total_sweeps,
+        iterations=int(sweeps.sum()),
         restarts=len(bases),
-        converged=all_converged,
+        converged=bool(converged.all()),
     )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,29 +106,53 @@ def _assemble(plus: np.ndarray, minus: np.ndarray, dims: BipartiteDims,
     return GammaBreakdown(terms=terms, n2=n2, total=total)
 
 
+@lru_cache(maxsize=None)
+def _paired_positions(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Joint indices (left, right) of every quadruple's two coefficients.
+
+    The first half lists the plus coefficients (kp, lq), the second half the
+    minus coefficients (kq, lp).  A density matrix holds the coefficient at
+    rho[left, right]; a pure state's is amp[left] * conj(amp[right]) over
+    the flattened amplitudes.
+    """
+    ka, la, pb, qb = _quadruple_arrays(m, n)
+    left = np.concatenate([ka * n + pb, ka * n + qb])
+    right = np.concatenate([la * n + qb, la * n + pb])
+    return left, right
+
+
+def _split_pairs(moduli: np.ndarray):
+    half = moduli.shape[-1] // 2
+    return moduli[..., :half], moduli[..., half:]
+
+
 def _gamma_coeffs_dense(mat: np.ndarray, dims: BipartiteDims):
-    ka, la, pb, qb = _quadruple_arrays(dims.m, dims.n)
-    n = dims.n
-    plus = np.abs(mat[ka * n + pb, la * n + qb])
-    minus = np.abs(mat[ka * n + qb, la * n + pb])
-    return plus, minus
+    left, right = _paired_positions(dims.m, dims.n)
+    flat = mat.reshape(*mat.shape[:-2], dims.size * dims.size)
+    return _split_pairs(np.abs(flat.take(left * dims.size + right, axis=-1)))
 
 
 def _gamma_coeffs_amp(amp: np.ndarray, dims: BipartiteDims):
-    ka, la, pb, qb = _quadruple_arrays(dims.m, dims.n)
-    plus = np.abs(amp[ka, pb] * amp[la, qb].conj())
-    minus = np.abs(amp[ka, qb] * amp[la, pb].conj())
-    return plus, minus
+    left, right = _paired_positions(dims.m, dims.n)
+    flat = amp.reshape(*amp.shape[:-2], dims.size)
+    products = flat.take(left, axis=-1) * flat.take(right, axis=-1).conj()
+    return _split_pairs(np.abs(products))
 
 
-def _gamma_total_dense(mat: np.ndarray, dims: BipartiteDims, n2: float) -> float:
-    plus, minus = _gamma_coeffs_dense(mat, dims)
-    return math.sqrt(n2 * float(np.sum((plus - minus) ** 2)))
+def _gamma_total(plus: np.ndarray, minus: np.ndarray, n2: float) -> np.ndarray:
+    # take() leaves each row's terms contiguous, so a row sums in the order
+    # np.sum takes on a single matrix's terms: batched values equal unbatched.
+    return np.sqrt(n2 * ((plus - minus) ** 2).sum(axis=-1))
 
 
-def _gamma_total_amp(amp: np.ndarray, dims: BipartiteDims, n2: float) -> float:
-    plus, minus = _gamma_coeffs_amp(amp, dims)
-    return math.sqrt(n2 * float(np.sum((plus - minus) ** 2)))
+def _gamma_total_dense(mat: np.ndarray, dims: BipartiteDims, n2: float) -> np.ndarray:
+    """Gamma of each (size, size) matrix in a (..., size, size) batch."""
+    return _gamma_total(*_gamma_coeffs_dense(mat, dims), n2)
+
+
+def _gamma_total_amp(amp: np.ndarray, dims: BipartiteDims, n2: float) -> np.ndarray:
+    """Gamma of each (m, n) amplitude matrix in a (..., m, n) batch."""
+    return _gamma_total(*_gamma_coeffs_amp(amp, dims), n2)
 
 
 def gamma(rho: DensityOperator, cfg: MeasureConfig = PAPER_2X3) -> GammaBreakdown:

@@ -36,10 +36,8 @@ def _pairs_to_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
     except (TypeError, IndexError, ValueError) as exc:
         raise StateFileError(f"{what}: entries must be [re, im] pairs") from exc
     if arr.shape != (rows, cols):
-        raise StateFileError(
-            f"dims mismatch: {what} must be {rows}x{cols}, got "
-            f"{arr.shape[0]}x{arr.shape[1]}"
-        )
+        got = "x".join(map(str, arr.shape)) if arr.ndim == 2 else f"shape {arr.shape}"
+        raise StateFileError(f"dims mismatch: {what} must be {rows}x{cols}, got {got}")
     return arr
 
 
@@ -64,7 +62,7 @@ def state_from_dict(
     if (
         not isinstance(dims_field, list)
         or len(dims_field) != 2
-        or not all(isinstance(d, int) for d in dims_field)
+        or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims_field)
     ):
         raise StateFileError(f"dims mismatch: expected [M, N] integers, got {dims_field!r}")
     try:
@@ -85,7 +83,10 @@ def state_from_dict(
             if norm == 0.0:
                 raise StateFileError("pure state has zero norm")
             amp = amp / norm
-        return PureState(dims, amp)
+        try:
+            return PureState(dims, amp)
+        except ValueError as exc:
+            raise StateFileError(str(exc)) from exc
     if kind == "density":
         mat = _pairs_to_matrix(doc.get("data"), dims.size, dims.size, "density data")
         try:

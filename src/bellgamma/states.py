@@ -44,6 +44,8 @@ class PureState:
                 f"amplitude matrix shape {amp.shape} does not match dims "
                 f"{self.dims.label()}"
             )
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amp) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(

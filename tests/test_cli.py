@@ -88,6 +88,15 @@ def test_measure_dims_mismatch_exits_2(capsys, tmp_path):
     assert "dims mismatch" in err
 
 
+def test_measure_empty_data_exits_2(capsys, tmp_path):
+    path = tmp_path / "empty.qstate.json"
+    path.write_text(json.dumps({"dims": [2, 3], "kind": "pure", "data": []}))
+    code, out, err = _run(capsys, ["measure", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "dims mismatch" in err and "Traceback" not in err
+
+
 def test_measure_n2_override(capsys, bell_file):
     code, out, _ = _run(capsys, ["measure", bell_file, "--n2", "1.0"])
     assert code == 0

@@ -44,6 +44,28 @@ def test_loader_rejects_bad_dims_field(tmp_path):
         bg.load_state(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("dims", [[True, 2], [2, False]])
+def test_loader_rejects_boolean_dims(tmp_path, dims):
+    doc = bg.state_to_dict(bg.random_pure(bg.BipartiteDims(2, 2), 0))
+    doc["dims"] = dims
+    with pytest.raises(StateFileError, match="integers"):
+        bg.load_state(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_loader_rejects_empty_data(tmp_path, kind):
+    doc = {"dims": [2, 2], "kind": kind, "data": []}
+    with pytest.raises(StateFileError, match="dims mismatch"):
+        bg.load_state(_write(tmp_path, doc))
+
+
+def test_loader_rejects_non_finite_amplitudes(tmp_path):
+    doc = bg.state_to_dict(bg.random_pure(bg.BipartiteDims(2, 2), 0))
+    doc["data"] = [[[float("nan"), 0.0]] * 2] * 2
+    with pytest.raises(StateFileError, match="finite"):
+        bg.load_state(_write(tmp_path, doc))
+
+
 def test_loader_rejects_unnormalized_unless_renormalize(tmp_path):
     psi = bg.random_pure(bg.BipartiteDims(2, 2), 3)
     doc = bg.state_to_dict(psi)

@@ -12,6 +12,17 @@ def test_pure_state_rejects_unnormalized():
         bg.PureState(dims, np.ones((2, 2), dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    dims = bg.BipartiteDims(2, 2)
+    with pytest.raises(ValueError, match="finite"):
+        bg.PureState(dims, np.full((2, 2), bad, dtype=complex))
+    amp = np.eye(2, dtype=complex) / np.sqrt(2)
+    amp[0, 1] = complex(0.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        bg.PureState(dims, amp)
+
+
 def test_pure_state_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         bg.PureState(bg.BipartiteDims(2, 3), np.eye(2) / np.sqrt(2))

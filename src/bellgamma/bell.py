@@ -8,12 +8,13 @@ are recoverable this way, so gamma estimation presumes the state has been
 locally phase-rotated to make each targeted coefficient real; the
 simulator applies that rotation per target for pure inputs (the phases
 are read off the amplitudes) and requires the caller to supply a rotation
-for mixed inputs.
+for mixed inputs.  The exact outcome probabilities are computed once per
+state; the binomial draws of every repetition are then sampled and
+estimated as one batch.
 """
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 
@@ -280,6 +281,86 @@ def _aligning_rotation(
     return np.kron(d_a, np.eye(dims.n, dtype=complex))
 
 
+def _target_probabilities(
+    state: PureState | DensityOperator,
+    plan: MeasurementPlan,
+    phase_rotation: LocalUnitary | None,
+) -> np.ndarray:
+    """Exact outcome probabilities, clipped to [0, 1], as a (targets, 2)
+    array: column 0 for each target's plus projector, column 1 for its
+    minus projector.
+
+    Pure input is phase-aligned per target (the phases are read off the
+    amplitudes); mixed input must come with ``phase_rotation``.
+    """
+    dims = state.dims
+    if isinstance(state, PureState):
+        base_mat = pure_to_density(state).mat
+        auto_align = True
+    else:
+        if phase_rotation is None:
+            raise ValueError(
+                "mixed-state simulation requires an explicit phase rotation "
+                "making the targeted coefficients real"
+            )
+        base_mat = state.mat
+        auto_align = False
+    if phase_rotation is not None:
+        w = phase_rotation.joint()
+        base_mat = w @ base_mat @ w.conj().T
+
+    probs = np.empty((len(plan.targets), 2))
+    for i, target in enumerate(plan.targets):
+        mat = base_mat
+        if auto_align:
+            w = _aligning_rotation(base_mat, target.row - 1, target.col - 1, dims, target.k)
+            mat = w @ base_mat @ w.conj().T
+        for j, b in enumerate((target.plus, target.minus)):
+            probs[i, j] = min(max(_project_mat(mat, b, dims), 0.0), 1.0)
+    return probs
+
+
+def _quadruple_columns(
+    plan: MeasurementPlan, dims: BipartiteDims
+) -> tuple[tuple[tuple[int, int, int, int], ...], np.ndarray]:
+    """The k<l, p<q quadruples and, per quadruple, the plan's target index
+    of its (k, l, p, q) and (k, l, q, p) positions, shape (quadruples, 2).
+
+    A position the plan lacks gets index -1, which ``_estimate`` points at
+    a zero column: absent positions count as zero coefficients.
+    """
+    index = {(t.k, t.l, t.p, t.q): i for i, t in enumerate(plan.targets)}
+    quads = tuple(coeff_quadruples(dims.m, dims.n))
+    cols = np.array(
+        [[index.get((k, l, p, q), -1), index.get((k, l, q, p), -1)] for k, l, p, q in quads],
+        dtype=np.intp,
+    ).reshape(len(quads), 2)
+    return quads, cols
+
+
+def _estimate(
+    hats: np.ndarray, cols: np.ndarray, n2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma from sampled outcome frequencies, one rep per leading row.
+
+    ``hats`` has shape (reps, targets, 2); ``cols`` comes from
+    ``_quadruple_columns``.  Returns the |coefficient| estimates, shape
+    (reps, quadruples, 2), and each rep's gamma, shape (reps,).
+    """
+    est = (hats[..., 0] - hats[..., 1]) / 2.0
+    est = np.concatenate([est, np.zeros((len(est), 1))], axis=1)
+    coeffs = np.abs(est[:, cols])
+    # float_power calls libm pow like the scalar ``** 2`` of
+    # ShotTerm.contribution; an array's ``** 2`` computes x*x, which differs
+    # from it in the last bit for some inputs.  The terms are summed left to
+    # right as the scalar loop did; np.sum's order depends on the layout.
+    sq = np.float_power(coeffs[..., 0] - coeffs[..., 1], 2.0)
+    acc = np.zeros(len(hats))
+    for j in range(sq.shape[1]):
+        acc = acc + sq[:, j]
+    return coeffs, np.sqrt(n2 * acc)
+
+
 def simulate_shots(
     state: PureState | DensityOperator,
     plan: MeasurementPlan | None = None,
@@ -304,63 +385,31 @@ def simulate_shots(
     if not exact and (shots is None or shots < 1):
         raise ValueError(f"shots must be >= 1, got {shots}")
 
-    dims = state.dims
-    if isinstance(state, PureState):
-        base_mat = pure_to_density(state).mat
-        auto_align = True
+    probs = _target_probabilities(state, plan, phase_rotation)
+    if exact:
+        hats = probs
+        se = np.zeros(len(probs))
     else:
-        if phase_rotation is None:
-            raise ValueError(
-                "mixed-state simulation requires an explicit phase rotation "
-                "making the targeted coefficients real"
-            )
-        base_mat = state.mat
-        auto_align = False
-    if phase_rotation is not None:
-        w = phase_rotation.joint()
-        base_mat = w @ base_mat @ w.conj().T
+        counts = np.random.default_rng(seed).binomial(shots, probs.ravel())
+        hats = counts.reshape(probs.shape) / shots
+        var = hats * (1.0 - hats) / shots
+        se = 0.5 * np.sqrt(var[:, 0] + var[:, 1])
+    quads, cols = _quadruple_columns(plan, state.dims)
+    coeffs, totals = _estimate(hats[np.newaxis], cols, cfg.n2)
+    se = np.append(se, 0.0)[cols]
 
-    rng = np.random.default_rng(seed)
-    estimates: dict[tuple[int, int, int, int], tuple[float, float]] = {}
-    for target in plan.targets:
-        row0, col0 = target.row - 1, target.col - 1
-        mat = base_mat
-        if auto_align:
-            w = _aligning_rotation(base_mat, row0, col0, dims, target.k)
-            mat = w @ base_mat @ w.conj().T
-        probs = []
-        hats = []
-        for b in (target.plus, target.minus):
-            prob = min(max(_project_mat(mat, b, dims), 0.0), 1.0)
-            probs.append(prob)
-            if exact:
-                hats.append(prob)
-            else:
-                hats.append(rng.binomial(shots, prob) / shots)
-        est = (hats[0] - hats[1]) / 2.0
-        if exact:
-            se = 0.0
-        else:
-            se = 0.5 * math.sqrt(
-                sum(h * (1.0 - h) / shots for h in hats)
-            )
-        estimates[(target.k, target.l, target.p, target.q)] = (est, se)
-
-    terms = []
-    acc = 0.0
-    for k, l, p, q in coeff_quadruples(dims.m, dims.n):
-        est_p, se_p = estimates.get((k, l, p, q), (0.0, 0.0))
-        est_m, se_m = estimates.get((k, l, q, p), (0.0, 0.0))
-        term = ShotTerm(
+    terms = tuple(
+        ShotTerm(
             k=k, l=l, p=p, q=q,
-            coeff_plus=abs(est_p), coeff_minus=abs(est_m),
+            coeff_plus=c_p, coeff_minus=c_m,
             se_plus=se_p, se_minus=se_m,
         )
-        terms.append(term)
-        acc += term.contribution
-    total = math.sqrt(cfg.n2 * acc)
+        for (k, l, p, q), (c_p, c_m), (se_p, se_m) in zip(
+            quads, coeffs[0].tolist(), se.tolist()
+        )
+    )
     return ShotGammaEstimate(
-        terms=tuple(terms), n2=cfg.n2, shots=None if exact else shots, total=total
+        terms=terms, n2=cfg.n2, shots=None if exact else shots, total=float(totals[0])
     )
 
 
@@ -382,30 +431,43 @@ def shot_error_table(
     phase_rotation: LocalUnitary | None = None,
 ) -> tuple[tuple[ShotErrorRow, ...], dict[int, float]]:
     """Repeated simulations against the exact gamma, plus the per-shot-count
-    median absolute error (the 1/sqrt(shots) convergence summary)."""
+    median absolute error (the 1/sqrt(shots) convergence summary).
+
+    The exact outcome probabilities are computed once per state, and for
+    each shot count every rep is sampled and estimated as one batch.  Rep
+    ``rep`` of shot count ``shots_list[si]`` draws from
+    ``SeedSequence((seed, si, rep))``, so each row equals the
+    ``simulate_shots`` estimate with that seed.
+    """
+    shots_list = list(shots_list)
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if any(shots < 1 for shots in shots_list):
+        raise ValueError(f"shots must be >= 1, got {shots_list}")
     plan = plan or plan_measurement(state.dims)
     if isinstance(state, PureState):
         truth = gamma(pure_to_density(state), cfg).total
     else:
         truth = gamma(state, cfg).total
+    probs = _target_probabilities(state, plan, phase_rotation).ravel()
+    _, cols = _quadruple_columns(plan, state.dims)
     rows = []
     medians: dict[int, float] = {}
     for si, shots in enumerate(shots_list):
-        errs = []
-        for rep in range(reps):
-            rep_seed = np.random.SeedSequence((seed, si, rep))
-            est = simulate_shots(
-                state,
-                plan=plan,
-                shots=shots,
-                seed=rep_seed,
-                phase_rotation=phase_rotation,
-                cfg=cfg,
-            )
-            err = abs(est.total - truth)
-            rows.append(
-                ShotErrorRow(shots=shots, rep=rep, gamma_hat=est.total, abs_error=err)
-            )
-            errs.append(err)
-        medians[shots] = statistics.median(errs) if errs else 0.0
+        counts = np.stack(
+            [
+                np.random.default_rng(np.random.SeedSequence((seed, si, rep))).binomial(
+                    shots, probs
+                )
+                for rep in range(reps)
+            ]
+        )
+        _, totals = _estimate(counts.reshape(reps, -1, 2) / shots, cols, cfg.n2)
+        totals = totals.tolist()
+        errs = [abs(total - truth) for total in totals]
+        rows.extend(
+            ShotErrorRow(shots=shots, rep=rep, gamma_hat=total, abs_error=err)
+            for rep, (total, err) in enumerate(zip(totals, errs))
+        )
+        medians[shots] = statistics.median(errs)
     return tuple(rows), medians

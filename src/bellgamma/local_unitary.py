@@ -484,6 +484,8 @@ def conjecture_sweep(
     Per-trial seeds are fixed up front, so results are deterministic for any
     thread count.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     opts = opts or SWEEP_OPTS
     tasks = [
         (BipartiteDims.parse(d) if isinstance(d, str) else d, di, t)

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellgamma as bg
-from bellgamma.bell import NAMED_BELL_2X2, NAMED_BELL_2X3
+from bellgamma.bell import (
+    NAMED_BELL_2X2,
+    NAMED_BELL_2X3,
+    ShotErrorRow,
+    _aligning_rotation,
+    _estimate,
+    _project_mat,
+    _quadruple_columns,
+)
+from bellgamma.linalg import coeff_quadruples
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -235,3 +244,137 @@ def test_shot_error_table_medians(bell_2x3):
     assert all(r.abs_error >= 0 for r in rows)
     rows2, medians2 = bg.shot_error_table(bell_2x3, [100, 1000], reps=10, seed=4)
     assert rows == rows2 and medians == medians2
+
+
+def test_shot_error_table_rejects_non_positive_counts(bell_2x3):
+    with pytest.raises(ValueError, match="reps"):
+        bg.shot_error_table(bell_2x3, [100], reps=0, seed=0)
+    with pytest.raises(ValueError, match="reps"):
+        bg.shot_error_table(bell_2x3, [100], reps=-2, seed=0)
+    with pytest.raises(ValueError, match="shots"):
+        bg.shot_error_table(bell_2x3, [100, 0], reps=3, seed=0)
+
+
+# The simulator before batching: one scalar binomial draw per projector,
+# one simulate call per (shot count, rep).  Kept as the reference the
+# batched simulator must reproduce bit for bit.
+
+
+def _reference_simulate(state, shots, seed, phase_rotation=None):
+    dims = state.dims
+    if isinstance(state, bg.PureState):
+        base = bg.pure_to_density(state).mat
+        align = True
+    else:
+        base = state.mat
+        align = False
+    if phase_rotation is not None:
+        w = phase_rotation.joint()
+        base = w @ base @ w.conj().T
+    rng = np.random.default_rng(seed)
+    plan = bg.plan_measurement(dims)
+    hats = []
+    for t in plan.targets:
+        mat = base
+        if align:
+            w = _aligning_rotation(base, t.row - 1, t.col - 1, dims, t.k)
+            mat = w @ base @ w.conj().T
+        pair = []
+        for b in (t.plus, t.minus):
+            prob = min(max(_project_mat(mat, b, dims), 0.0), 1.0)
+            pair.append(rng.binomial(shots, prob) / shots)
+        hats.append(pair)
+    return _reference_estimate(plan, hats, shots)
+
+
+def _reference_estimate(plan, hats, shots, cfg=bg.PAPER_2X3):
+    estimates = {}
+    for t, pair in zip(plan.targets, hats):
+        se = 0.5 * math.sqrt(sum(h * (1.0 - h) / shots for h in pair))
+        estimates[(t.k, t.l, t.p, t.q)] = ((pair[0] - pair[1]) / 2.0, se)
+    terms = []
+    acc = 0.0
+    for k, l, p, q in coeff_quadruples(plan.dims.m, plan.dims.n):
+        est_p, se_p = estimates[(k, l, p, q)]
+        est_m, se_m = estimates[(k, l, q, p)]
+        term = bg.ShotTerm(k, l, p, q, abs(est_p), abs(est_m), se_p, se_m)
+        terms.append(term)
+        acc += term.contribution
+    return tuple(terms), math.sqrt(cfg.n2 * acc)
+
+
+def _reference_table(state, shots_list, reps, seed, phase_rotation=None):
+    rho = bg.pure_to_density(state) if isinstance(state, bg.PureState) else state
+    truth = bg.gamma(rho, bg.PAPER_2X3).total
+    rows = []
+    medians = {}
+    for si, shots in enumerate(shots_list):
+        errs = []
+        for rep in range(reps):
+            rep_seed = np.random.SeedSequence((seed, si, rep))
+            _, total = _reference_simulate(state, shots, rep_seed, phase_rotation)
+            err = abs(total - truth)
+            rows.append(ShotErrorRow(shots=shots, rep=rep, gamma_hat=total, abs_error=err))
+            errs.append(err)
+        medians[shots] = statistics.median(errs)
+    return tuple(rows), medians
+
+
+SHOTS_LIST = [1, 10, 1000, 10**6]
+
+
+def _assert_table_matches_reference(state, phase_rotation=None):
+    rows, medians = bg.shot_error_table(
+        state, SHOTS_LIST, reps=6, seed=11, phase_rotation=phase_rotation
+    )
+    ref_rows, ref_medians = _reference_table(
+        state, SHOTS_LIST, 6, 11, phase_rotation=phase_rotation
+    )
+    assert rows == ref_rows  # shots, rep, gamma_hat and abs_error, exactly
+    assert medians == ref_medians
+    for shots in SHOTS_LIST:
+        est = bg.simulate_shots(state, shots=shots, seed=shots, phase_rotation=phase_rotation)
+        terms, total = _reference_simulate(state, shots, shots, phase_rotation)
+        assert est.terms == terms  # coefficients and standard errors
+        assert est.total == total
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 4)])
+def test_batched_simulation_equals_per_rep_reference(m, n):
+    psi = bg.random_pure(bg.BipartiteDims(m, n), 100 * m + n)
+    _assert_table_matches_reference(psi)
+
+
+def test_batched_simulation_equals_reference_on_rotated_density():
+    dims = bg.BipartiteDims(2, 3)
+    rho = bg.random_density(dims, 3)
+    _assert_table_matches_reference(rho, bg.random_local_unitary(dims, 4))
+
+
+def test_batched_estimator_squares_like_the_scalar_term():
+    # About one square in a thousand differs in the last bit between x*x and
+    # the scalar ``** 2``, and in a sum of many terms that bit is mostly
+    # lost, so the squaring is checked on many reps of the one-term 2x2 sum.
+    dims = bg.BipartiteDims(2, 2)
+    plan = bg.plan_measurement(dims)
+    shots = 10**5
+    probs = np.random.default_rng(5).random((len(plan.targets), 2))
+    hats = np.random.default_rng(6).binomial(shots, probs, size=(20000, *probs.shape)) / shots
+    _, cols = _quadruple_columns(plan, dims)
+    _, totals = _estimate(hats, cols, bg.PAPER_2X3.n2)
+    want = [_reference_estimate(plan, rep.tolist(), shots)[1] for rep in hats]
+    assert totals.tolist() == want
+
+
+def test_vector_binomial_draws_equal_scalar_draws():
+    # The batched simulator draws a whole probability vector per call; its
+    # output equals the per-projector scalar draws only while numpy keeps
+    # the two streams the same.
+    p_rng = np.random.default_rng(0)
+    for shots in (1, 2, 10, 1000, 10**6):
+        for probs in (np.array([0.0, 0.5, 1.0, 1.0, 0.5, 0.0]), p_rng.random(64)):
+            seed = np.random.SeedSequence((shots, len(probs)))
+            vector = np.random.default_rng(seed).binomial(shots, probs)
+            scalar_rng = np.random.default_rng(seed)
+            assert vector.tolist() == [scalar_rng.binomial(shots, p) for p in probs.tolist()]
+

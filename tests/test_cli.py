@@ -151,6 +151,13 @@ def test_conjecture_zero_trials(capsys):
     assert _parse_csv(out) == []
 
 
+def test_conjecture_rejects_negative_trials(capsys):
+    code, out, err = _run(capsys, ["conjecture", "--dims", "2x3", "--trials", "-3"])
+    assert code == 2
+    assert out == ""
+    assert "trials" in err
+
+
 def test_conjecture_rejects_bad_dims(capsys):
     code, _, err = _run(capsys, ["conjecture", "--dims", "2by3", "--trials", "1"])
     assert code == 2
@@ -177,6 +184,14 @@ def test_simulate_rejects_bad_shots(capsys, bell_file):
     code, _, err = _run(capsys, ["simulate", bell_file, "--shots", "0"])
     assert code == 2
     assert "shots" in err
+
+
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_simulate_rejects_non_positive_reps(capsys, bell_file, reps):
+    code, out, err = _run(capsys, ["simulate", bell_file, "--shots", "10", "--reps", reps])
+    assert code == 2
+    assert out == ""
+    assert "reps" in err
 
 
 def test_simulate_mixed_needs_rotation(capsys, tmp_path):

@@ -152,20 +152,13 @@ def _target(dims: BipartiteDims, k: int, l: int, p: int, q: int) -> CoefficientT
 def _cross_pair_orthogonality(
     projectors: tuple[BellState, ...], dims: BipartiteDims
 ) -> tuple[tuple[int, int], ...]:
-    """Indices (i, j) of projector pairs that are not mutually orthogonal."""
-    vecs = [bell_vector(b, dims) for b in projectors]
+    """Indices (i, j), i < j, of projector pairs that are not mutually
+    orthogonal, read off one Gram matrix of all the projector vectors."""
     n_pairs = len(projectors) // 2
-    clashes = []
-    for i in range(n_pairs):
-        for j in range(i + 1, n_pairs):
-            block = [
-                abs(np.vdot(vecs[2 * i + a], vecs[2 * j + b]))
-                for a in (0, 1)
-                for b in (0, 1)
-            ]
-            if max(block) > 1e-12:
-                clashes.append((i, j))
-    return tuple(clashes)
+    vecs = np.array([bell_vector(b, dims) for b in projectors[: 2 * n_pairs]])
+    overlap = np.abs(vecs.conj() @ vecs.T).reshape(n_pairs, 2, n_pairs, 2)
+    clash = np.triu(overlap.max(axis=(1, 3)) > 1e-12, k=1)
+    return tuple(zip(*(idx.tolist() for idx in np.nonzero(clash))))
 
 
 def plan_measurement(

@@ -145,7 +145,9 @@ def cmd_measure(args) -> int:
     sup = maximize_gamma(state, cfg, OptimizerOptions(seed=args.seed))
 
     flags = []
-    if breakdown.total <= SEPARABLE_TOL:
+    # gamma in the given basis can vanish on an entangled state; only a
+    # converged supremum at zero marks the state separable.
+    if sup.converged and sup.best_gamma <= SEPARABLE_TOL:
         flags.append(SEPARABLE_FLAG)
 
     row = {

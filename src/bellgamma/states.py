@@ -84,6 +84,8 @@ class DensityOperator:
                 f"expected {size}x{size} matrix for dims {self.dims.label()}, "
                 f"got {mat.shape[0]}x{mat.shape[1]}"
             )
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix entries must be finite")
         check = is_density_operator(mat, tol=DENSITY_TOL)
         if not check:
             raise ValueError("invalid density operator: " + "; ".join(check.failures))

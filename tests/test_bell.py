@@ -12,6 +12,7 @@ from bellgamma.bell import (
     NAMED_BELL_2X3,
     ShotErrorRow,
     _aligning_rotation,
+    _cross_pair_orthogonality,
     _estimate,
     _project_mat,
     _quadruple_columns,
@@ -378,3 +379,33 @@ def test_vector_binomial_draws_equal_scalar_draws():
             scalar_rng = np.random.default_rng(seed)
             assert vector.tolist() == [scalar_rng.binomial(shots, p) for p in probs.tolist()]
 
+
+
+def _reference_cross_pair_orthogonality(projectors, dims):
+    # The pairwise np.vdot loop the Gram matrix replaced.
+    vecs = [bg.bell_vector(b, dims) for b in projectors]
+    n_pairs = len(projectors) // 2
+    clashes = []
+    for i in range(n_pairs):
+        for j in range(i + 1, n_pairs):
+            block = [
+                abs(np.vdot(vecs[2 * i + a], vecs[2 * j + b]))
+                for a in (0, 1)
+                for b in (0, 1)
+            ]
+            if max(block) > 1e-12:
+                clashes.append((i, j))
+    return tuple(clashes)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 5)])
+def test_cross_pair_orthogonality_matches_pairwise_loop(dims):
+    d = bg.BipartiteDims(*dims)
+    plan = bg.plan_measurement(d)
+    reduced = plan.reduced.projectors
+    assert plan.reduced.non_orthogonal_pairs == _reference_cross_pair_orthogonality(
+        reduced, d
+    )
+    full = tuple(b for t in plan.targets for b in (t.plus, t.minus))
+    want = _reference_cross_pair_orthogonality(full, d)
+    assert _cross_pair_orthogonality(full, d) == want

@@ -56,6 +56,41 @@ def test_measure_product_state_flagged_separable(capsys, product_file):
     assert "separable-by-gamma-criterion" in row["flags"]
 
 
+def test_measure_product_density_flagged_separable(capsys, tmp_path):
+    path = tmp_path / "product.qstate.json"
+    bg.save_state(path, bg.random_product(bg.BipartiteDims(2, 3), 4))
+    code, out, _ = _run(capsys, ["measure", str(path)])
+    assert code == 0
+    assert "separable-by-gamma-criterion" in _parse_csv(out)[0]["flags"]
+
+
+def test_measure_entangled_state_with_zero_basis_gamma_not_flagged(capsys, tmp_path):
+    # (|11> + |12> + |21> - |22>)/2: gamma vanishes in this basis, but the
+    # state is maximally entangled.
+    path = tmp_path / "hadamard.qstate.json"
+    amp = np.array([[1, 1], [1, -1]], dtype=complex) / 2
+    bg.save_state(path, bg.PureState(bg.BipartiteDims(2, 2), amp))
+    code, out, _ = _run(capsys, ["measure", str(path)])
+    assert code == 0
+    row = _parse_csv(out)[0]
+    assert float(row["gamma"]) <= 1e-12
+    assert float(row["i_concurrence"]) == pytest.approx(1.0, abs=1e-10)
+    assert float(row["gamma_sup"]) > 0.5
+    assert row["flags"] == ""
+
+
+@pytest.mark.parametrize("command", ["measure", "povm-check"])
+def test_non_finite_density_file_exits_2(capsys, tmp_path, command):
+    doc = bg.state_to_dict(bg.random_density(bg.BipartiteDims(2, 2), 0))
+    doc["data"][0][3] = [float("nan"), 0.0]
+    path = tmp_path / "nan.qstate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, [command, str(path)])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_measure_json_output(capsys, bell_file):
     code, out, _ = _run(capsys, ["measure", bell_file, "--output", "json"])
     assert code == 0

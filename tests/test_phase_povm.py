@@ -9,6 +9,61 @@ import bellgamma as bg
 
 TWO_PI = 2 * math.pi
 
+ROUTE_DIMS = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 5)]
+
+
+# Reference: the per-point Fourier loop the batched einsum replaced.  One
+# factor build per grid angle, one einsum per (A angle, B angle) point and
+# scalar accumulation of the weighted sums; the library must match it bit
+# for bit.
+
+
+def _reference_factor(phases, d):
+    upper = np.zeros((d, d), dtype=complex)
+    for (i, j), phi in phases.items():
+        upper[i - 1, j - 1] = np.exp(1j * phi)
+    return (np.eye(d) + upper + upper.conj().T) / TWO_PI
+
+
+def _reference_pair(mat, dims, k, l, p, q, grid, base):
+    r4 = mat.reshape(dims.m, dims.n, dims.m, dims.n)
+    angles = TWO_PI * np.arange(grid) / grid
+    a_ph = dict(base.a_phases)
+    b_ph = dict(base.b_phases)
+    das = []
+    dbs = []
+    for ang in angles:
+        a_ph[(k, l)] = float(ang)
+        das.append(_reference_factor(a_ph, dims.m))
+        b_ph[(p, q)] = float(ang)
+        dbs.append(_reference_factor(b_ph, dims.n))
+    s_plus = 0.0 + 0.0j
+    s_minus = 0.0 + 0.0j
+    for ia, pa in enumerate(angles):
+        for ib, pb in enumerate(angles):
+            t = complex(np.einsum("kplq,lk,qp->", r4, das[ia], dbs[ib]))
+            s_plus += np.exp(1j * (pa + pb)) * t
+            s_minus += np.exp(1j * (pa - pb)) * t
+    norm = grid * grid
+    return s_plus / norm, s_minus / norm
+
+
+def _reference_gamma_via_povm(rho, cfg, grid):
+    base = bg.PhaseAssignment.zeros(rho.dims)
+    acc = 0.0
+    for k, l, p, q in bg.coeff_quadruples(rho.dims.m, rho.dims.n):
+        s_plus, s_minus = _reference_pair(rho.mat, rho.dims, k, l, p, q, grid, base)
+        acc += (abs(s_plus) - abs(s_minus)) ** 2
+    return math.sqrt(cfg.n2 * bg.C_POVM * acc)
+
+
+def _random_base(dims, rng):
+    zeros = bg.PhaseAssignment.zeros(dims)
+    return bg.PhaseAssignment(
+        a_phases={pair: rng.uniform(0, TWO_PI) for pair in zeros.a_phases},
+        b_phases={pair: rng.uniform(0, TWO_PI) for pair in zeros.b_phases},
+    )
+
 
 def test_delta_a_reference_matrices(dims_2x3):
     dims22 = bg.BipartiteDims(2, 2)
@@ -136,3 +191,39 @@ def test_gamma_via_povm_grid_contract(bell_2x3):
     rho = bg.pure_to_density(bell_2x3)
     with pytest.raises(ValueError, match="grid too coarse"):
         bg.gamma_via_povm(rho, grid=2)
+
+
+def test_povm_constant_on_bell_state():
+    dims = bg.BipartiteDims(2, 2)
+    vec = bg.bell_vector(bg.BellState(1, 2, 1, 2, 1), dims)
+    rho = bg.pure_to_density(bg.PureState.from_vector(vec, dims))
+    direct = bg.gamma(rho, bg.PAPER_2X3).total
+    via = bg.gamma_via_povm(rho, bg.PAPER_2X3, grid=3)
+    assert abs(direct - via) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [3, 4, 5, 8])
+@pytest.mark.parametrize("dims", ROUTE_DIMS)
+def test_gamma_via_povm_equals_per_point_loop(dims, grid):
+    d = bg.BipartiteDims(*dims)
+    for seed in range(2):
+        for rho in (
+            bg.pure_to_density(bg.random_pure(d, seed)),
+            bg.random_density(d, seed + 100),
+        ):
+            want = _reference_gamma_via_povm(rho, bg.PAPER_2X3, grid)
+            assert bg.gamma_via_povm(rho, bg.PAPER_2X3, grid=grid) == want
+
+
+@pytest.mark.parametrize("dims", ROUTE_DIMS)
+def test_fourier_component_equals_per_point_loop(dims):
+    d = bg.BipartiteDims(*dims)
+    rng = np.random.default_rng(7)
+    rho = bg.random_density(d, 31)
+    for grid in (3, 4, 5, 8):
+        base = _random_base(d, rng)
+        for k, l, p, q in bg.coeff_quadruples(d.m, d.n):
+            s_plus, s_minus = _reference_pair(rho.mat, d, k, l, p, q, grid, base)
+            for branch, want in (("+", s_plus), ("-", s_minus)):
+                got = bg.fourier_component(rho, k, l, p, q, branch, grid=grid, base=base)
+                assert got.magnitude == float(abs(want))

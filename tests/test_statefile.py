@@ -66,6 +66,14 @@ def test_loader_rejects_non_finite_amplitudes(tmp_path):
         bg.load_state(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_loader_rejects_non_finite_density_entries(tmp_path, bad):
+    doc = bg.state_to_dict(bg.random_density(bg.BipartiteDims(2, 2), 0))
+    doc["data"][1][2] = [bad, 0.0]
+    with pytest.raises(StateFileError, match="finite"):
+        bg.load_state(_write(tmp_path, doc))
+
+
 def test_loader_rejects_unnormalized_unless_renormalize(tmp_path):
     psi = bg.random_pure(bg.BipartiteDims(2, 2), 3)
     doc = bg.state_to_dict(psi)

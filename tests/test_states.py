@@ -23,6 +23,14 @@ def test_pure_state_rejects_non_finite_amplitudes(bad):
         bg.PureState(dims, amp)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_operator_rejects_non_finite_entries(bad):
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        bg.DensityOperator(bg.BipartiteDims(2, 2), mat)
+
+
 def test_pure_state_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         bg.PureState(bg.BipartiteDims(2, 3), np.eye(2) / np.sqrt(2))

@@ -299,6 +299,7 @@ def _target_probabilities(
         base_mat = state.mat
         auto_align = False
     if phase_rotation is not None:
+        phase_rotation.check_dims(dims)
         w = phase_rotation.joint()
         base_mat = w @ base_mat @ w.conj().T
 

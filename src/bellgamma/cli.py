@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -36,7 +37,7 @@ from .measures import (
     i_concurrence,
 )
 from .phase_povm import gamma_via_povm
-from .states import DensityOperator, PureState, pure_to_density
+from .states import DensityOperator, PureState, pure_to_density, schmidt
 from .statefile import StateFileError, load_local_unitary, load_state
 
 SEPARABLE_FLAG = "separable-by-gamma-criterion"
@@ -142,13 +143,21 @@ def cmd_measure(args) -> int:
 
     breakdown = gamma(rho, cfg)
     povm = gamma_via_povm(rho, cfg, grid=args.grid)
-    sup = maximize_gamma(state, cfg, OptimizerOptions(seed=args.seed))
-
-    flags = []
-    # gamma in the given basis can vanish on an entangled state; only a
-    # converged supremum at zero marks the state separable.
-    if sup.converged and sup.best_gamma <= SEPARABLE_TOL:
-        flags.append(SEPARABLE_FLAG)
+    if isinstance(state, PureState):
+        # Per quadruple, ||x| - |y|| <= |x - y|, the modulus of a 2x2
+        # amplitude minor, and the minor sum is invariant under local
+        # unitaries: this bounds gamma in every frame, and the Schmidt frame
+        # attains it.  So the supremum is known exactly, and a pure state is
+        # separable exactly when its Schmidt rank is 1.
+        sup_gamma = concurrence_general(state, prefactor=cfg.n2)
+        separable = schmidt(state).rank == 1
+    else:
+        sup = maximize_gamma(state, cfg, OptimizerOptions(seed=args.seed))
+        sup_gamma = sup.best_gamma
+        # gamma in the given basis can vanish on an entangled state; only a
+        # converged supremum at zero marks the state separable.
+        separable = sup.converged and sup_gamma <= SEPARABLE_TOL
+    flags = [SEPARABLE_FLAG] if separable else []
 
     row = {
         "state": args.state,
@@ -156,7 +165,7 @@ def cmd_measure(args) -> int:
         "n2_preset": cfg.preset,
         "n2": cfg.n2,
         "gamma": breakdown.total,
-        "gamma_sup": sup.best_gamma,
+        "gamma_sup": sup_gamma,
         "gamma_schmidt": schmidt_val,
         "i_concurrence": ic,
         "concurrence_general4": cg4,
@@ -164,7 +173,7 @@ def cmd_measure(args) -> int:
         "povm_gamma": povm,
         "dev_povm_vs_gamma": abs(povm - breakdown.total),
         "dev_sup_vs_schmidt": (
-            sup.best_gamma - schmidt_val if schmidt_val is not None else None
+            sup_gamma - schmidt_val if schmidt_val is not None else None
         ),
         "dev_general4_vs_iconc": (
             abs(cg4 - ic) if cg4 is not None and ic is not None else None
@@ -210,9 +219,6 @@ def cmd_conjecture(args) -> int:
 
 def cmd_povm_check(args) -> int:
     cfg = _config_from_args(args)
-    if args.grid < 3:
-        print("grid too coarse: need at least 3 points per axis", file=sys.stderr)
-        return 2
     state = load_state(args.state, renormalize=args.renormalize)
     rho = pure_to_density(state) if isinstance(state, PureState) else state
     direct = gamma(rho, cfg).total
@@ -265,7 +271,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bellgamma argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bellgamma",
         description=(

@@ -57,12 +57,17 @@ class LocalUnitary:
     def joint(self) -> np.ndarray:
         return kron(self.u_a, self.u_b)
 
-    def dagger(self) -> "LocalUnitary":
-        return LocalUnitary(self.u_a.conj().T, self.u_b.conj().T)
+    def check_dims(self, dims: BipartiteDims) -> None:
+        """Raise ValueError unless u_a acts on M levels and u_b on N.
 
-    def compose(self, other: "LocalUnitary") -> "LocalUnitary":
-        """Returns self applied after ``other``."""
-        return LocalUnitary(self.u_a @ other.u_a, self.u_b @ other.u_b)
+        ``joint`` alone cannot catch a mismatch: swapped factors still
+        make an MN x MN matrix, just not a local unitary on M x N.
+        """
+        if self.u_a.shape[0] != dims.m or self.u_b.shape[0] != dims.n:
+            raise ValueError(
+                f"local unitary sizes {self.u_a.shape[0]}x{self.u_b.shape[0]} do not "
+                f"match dims {dims.label()}"
+            )
 
 
 def identity_local(dims: BipartiteDims) -> LocalUnitary:
@@ -78,15 +83,12 @@ def random_local_unitary(dims: BipartiteDims, seed) -> LocalUnitary:
 def apply_local(psi: PureState, u: LocalUnitary) -> PureState:
     """Transform amplitudes as u_a @ amp @ u_b.T, so the joint vector
     transforms by kron(u_a, u_b)."""
-    if u.u_a.shape[0] != psi.dims.m or u.u_b.shape[0] != psi.dims.n:
-        raise ValueError(
-            f"local unitary sizes {u.u_a.shape[0]}x{u.u_b.shape[0]} do not "
-            f"match dims {psi.dims.label()}"
-        )
+    u.check_dims(psi.dims)
     return PureState(psi.dims, u.u_a @ psi.amp @ u.u_b.T)
 
 
 def apply_local_density(rho: DensityOperator, u: LocalUnitary) -> DensityOperator:
+    u.check_dims(rho.dims)
     w = u.joint()
     return DensityOperator(rho.dims, w @ rho.mat @ w.conj().T)
 

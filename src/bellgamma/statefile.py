@@ -96,14 +96,22 @@ def state_from_dict(
     raise StateFileError(f"kind must be 'pure' or 'density', got {kind!r}")
 
 
+def _read_json(path: Path):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise StateFileError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def load_state(
     path, renormalize: bool = False, tol: float = 1e-9
 ) -> PureState | DensityOperator:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be a JSON object")
     return state_from_dict(doc, renormalize=renormalize, tol=tol)
@@ -118,10 +126,7 @@ def save_state(path, state: PureState | DensityOperator) -> None:
 def load_local_unitary(path) -> LocalUnitary:
     """Read a {"u_a": ..., "u_b": ...} JSON file of [re, im] pair matrices."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "u_a" not in doc or "u_b" not in doc:
         raise StateFileError(f"{path}: expected keys 'u_a' and 'u_b'")
     mats = []

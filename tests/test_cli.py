@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bellgamma as bg
+import bellgamma.cli
 from bellgamma.cli import main
+from bellgamma.statefile import _matrix_to_pairs
 
 
 @pytest.fixture
@@ -21,6 +26,16 @@ def product_file(tmp_path):
     path = tmp_path / "product.qstate.json"
     bg.save_state(path, bg.max_entangled(1, bg.BipartiteDims(2, 3)))
     return str(path)
+
+
+@pytest.fixture
+def no_optimizer(monkeypatch):
+    """Make any supremum search from the CLI fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("maximize_gamma called")
+
+    monkeypatch.setattr(bellgamma.cli, "maximize_gamma", refuse)
 
 
 def _run(capsys, argv):
@@ -48,12 +63,13 @@ def test_measure_bell_concurrence_matched(capsys, bell_file):
     assert row["flags"] == ""
 
 
-def test_measure_product_state_flagged_separable(capsys, product_file):
+def test_measure_product_state_flagged_separable(capsys, product_file, no_optimizer):
     code, out, _ = _run(capsys, ["measure", product_file])
     assert code == 0
     row = _parse_csv(out)[0]
     assert float(row["gamma"]) <= 1e-12
-    assert "separable-by-gamma-criterion" in row["flags"]
+    assert float(row["gamma_sup"]) == 0.0
+    assert row["flags"] == "separable-by-gamma-criterion"
 
 
 def test_measure_product_density_flagged_separable(capsys, tmp_path):
@@ -64,18 +80,32 @@ def test_measure_product_density_flagged_separable(capsys, tmp_path):
     assert "separable-by-gamma-criterion" in _parse_csv(out)[0]["flags"]
 
 
-def test_measure_entangled_state_with_zero_basis_gamma_not_flagged(capsys, tmp_path):
+def test_measure_entangled_state_with_zero_basis_gamma_not_flagged(
+    capsys, tmp_path, no_optimizer
+):
     # (|11> + |12> + |21> - |22>)/2: gamma vanishes in this basis, but the
     # state is maximally entangled.
     path = tmp_path / "hadamard.qstate.json"
     amp = np.array([[1, 1], [1, -1]], dtype=complex) / 2
     bg.save_state(path, bg.PureState(bg.BipartiteDims(2, 2), amp))
-    code, out, _ = _run(capsys, ["measure", str(path)])
+    code, out, _ = _run(capsys, ["measure", str(path), "--n2-preset", "paper-2x3"])
     assert code == 0
     row = _parse_csv(out)[0]
     assert float(row["gamma"]) <= 1e-12
     assert float(row["i_concurrence"]) == pytest.approx(1.0, abs=1e-10)
-    assert float(row["gamma_sup"]) > 0.5
+    assert abs(float(row["gamma_sup"]) - 1 / np.sqrt(2)) <= 1e-15
+    assert row["flags"] == ""
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])
+def test_pure_measure_reports_the_minor_sum(capsys, tmp_path, no_optimizer, dims):
+    path = tmp_path / "pure.qstate.json"
+    psi = bg.random_pure(bg.BipartiteDims(*dims), 7)
+    bg.save_state(path, psi)
+    code, out, _ = _run(capsys, ["measure", str(path), "--seed", "3"])
+    assert code == 0
+    row = _parse_csv(out)[0]
+    assert float(row["gamma_sup"]) == bg.concurrence_general(psi, bg.PAPER_2X3.n2)
     assert row["flags"] == ""
 
 
@@ -153,9 +183,10 @@ def test_povm_check_pass_and_grid_contract(capsys, bell_file):
     diff = float(out.strip().splitlines()[-1].split("=")[1])
     assert diff < 1e-10
 
-    code, _, err = _run(capsys, ["povm-check", bell_file, "--grid", "2"])
+    code, out, err = _run(capsys, ["povm-check", bell_file, "--grid", "2"])
     assert code == 2
-    assert "grid too coarse" in err
+    assert out == ""
+    assert err.startswith("error: grid too coarse")
 
 
 def test_povm_check_maximally_mixed(capsys, tmp_path):
@@ -250,3 +281,69 @@ def test_simulate_mixed_with_rotation_file(capsys, tmp_path):
     )
     assert code == 0
     assert len(_parse_csv(out)) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "{missing}"],
+        ["povm-check", "{dir}"],
+        ["simulate", "{bell}", "--shots", "10", "--phase-rotation", "{missing}"],
+        ["simulate", "{bell}", "--shots", "10", "--phase-rotation", "{dir}"],
+    ],
+)
+def test_missing_or_unreadable_file_exits_2(capsys, tmp_path, bell_file, argv):
+    paths = {"missing": str(tmp_path / "absent.json"), "dir": str(tmp_path), "bell": bell_file}
+    bad = paths["missing" if "{missing}" in argv else "dir"]
+    code, out, err = _run(capsys, [a.format(**paths) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: cannot read (")
+
+
+@pytest.mark.parametrize("sizes", [(3, 2), (2, 2), (3, 3)])
+def test_simulate_rejects_rotation_of_the_wrong_sizes(capsys, tmp_path, sizes):
+    # (3, 2) swaps the factors: kron is still 6x6, but not local on 2x3.
+    path = tmp_path / "mixed.qstate.json"
+    bg.save_state(path, bg.random_density(bg.BipartiteDims(2, 3), 2))
+    rot = tmp_path / "rot.json"
+    rng = np.random.default_rng(0)
+    u_a, u_b = (_matrix_to_pairs(bg.haar_unitary(d, rng)) for d in sizes)
+    rot.write_text(json.dumps({"u_a": u_a, "u_b": u_b}))
+    code, out, err = _run(
+        capsys, ["simulate", str(path), "--shots", "10", "--phase-rotation", str(rot)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: local unitary sizes {sizes[0]}x{sizes[1]} do not match dims 2x3\n"
+
+
+def test_cached_parser_matches_fresh_interpreters(capsys, tmp_path, bell_file):
+    """main() reuses one parser per process; every call in a sequence must
+    print and exit exactly as it does as the first call of a fresh process."""
+    rho = tmp_path / "rho.qstate.json"
+    bg.save_state(rho, bg.random_density(bg.BipartiteDims(2, 2), 1))
+    calls = [
+        ["measure", bell_file, "--n2", "3.5"],
+        ["simulate", bell_file, "--shots", "10", "--shots", "100", "--reps", "2"],
+        ["measure", bell_file, "--output", "json"],
+        ["povm-check", str(rho), "--n2-preset", "unnormalized"],
+        ["simulate", bell_file, "--shots", "1000", "--reps", "3", "--output", "json"],
+        ["measure", str(rho), "--grid", "two"],
+        ["conjecture", "--dims", "2x2", "--trials", "1", "--threads", "1"],
+        ["measure", bell_file],
+        ["povm-check", bell_file, "--grid", "2"],
+    ]
+    src = str(Path(bg.__file__).resolve().parent.parent)
+    script = "import sys; from bellgamma.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects bad usage this way
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+            env={"PYTHONPATH": src}, timeout=120,
+        )
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

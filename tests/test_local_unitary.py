@@ -45,6 +45,19 @@ def test_apply_local_matches_joint_kron_action():
     assert np.max(np.abs(via_amp - via_joint)) < 1e-12
 
 
+@pytest.mark.parametrize("sizes", [(3, 2), (2, 2), (3, 3)])
+def test_apply_local_rejects_factors_of_the_wrong_sizes(sizes):
+    # (3, 2) swaps the factors: kron is still 6x6, but not local on 2x3.
+    dims = bg.BipartiteDims(2, 3)
+    rng = np.random.default_rng(1)
+    u = bg.LocalUnitary(*(bg.haar_unitary(d, rng) for d in sizes))
+    message = f"sizes {sizes[0]}x{sizes[1]} do not match dims 2x3"
+    with pytest.raises(ValueError, match=message):
+        bg.apply_local(bg.random_pure(dims, 0), u)
+    with pytest.raises(ValueError, match=message):
+        bg.apply_local_density(bg.random_density(dims, 0), u)
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 def test_apply_local_preserves_i_concurrence(seed):
     dims = bg.BipartiteDims(2, 3)

@@ -201,3 +201,58 @@ def test_gamma_pure_below_schmidt_value(seed):
     assert bg.gamma_pure(psi, cfg).total <= bg.gamma_schmidt(psi, cfg) + 1e-9
     rotated = bg.apply_local(psi, bg.random_local_unitary(dims, seed + 1))
     assert bg.gamma_pure(rotated, cfg).total <= bg.gamma_schmidt(psi, cfg) + 1e-9
+
+
+# The pure-state supremum theorem.  Per quadruple k<l, p<q, the paired
+# moduli are |x| = |a_kp a_lq| and |y| = |a_kq a_lp|; the reverse triangle
+# inequality gives ||x| - |y|| <= |x - y| = |2x2 minor|, and the minor sum is
+# invariant under local unitaries.  So in every frame gamma is at most
+# concurrence_general(psi, n2), and the Schmidt frame attains that bound.
+
+THEOREM_DIMS = st.tuples(st.integers(2, 5), st.integers(2, 5))
+THEOREM_CFGS = st.sampled_from([bg.PAPER_2X3, bg.CONCURRENCE_MATCHED, bg.MeasureConfig(n2=3.5)])
+
+
+def _random_frame(dims, seed):
+    psi = bg.random_pure(bg.BipartiteDims(*dims), seed)
+    u = bg.random_local_unitary(psi.dims, [seed, 1])
+    return psi, bg.apply_local(psi, u)
+
+
+@given(dims=THEOREM_DIMS, seed=st.integers(0, 2**32 - 1))
+def test_each_quadruple_term_is_at_most_its_squared_minor(dims, seed):
+    _, psi = _random_frame(dims, seed)
+    amp = psi.amp
+    for term in bg.gamma_pure(psi, bg.UNNORMALIZED).terms:
+        k, l, p, q = term.k - 1, term.l - 1, term.p - 1, term.q - 1
+        minor = amp[k, p] * amp[l, q] - amp[k, q] * amp[l, p]
+        assert term.contribution <= abs(minor) ** 2 + 1e-15
+
+
+@given(dims=THEOREM_DIMS, seed=st.integers(0, 2**32 - 1), cfg=THEOREM_CFGS)
+def test_gamma_in_any_frame_is_at_most_the_minor_sum(dims, seed, cfg):
+    psi, rotated = _random_frame(dims, seed)
+    bound = bg.concurrence_general(psi, prefactor=cfg.n2)
+    assert bg.gamma_pure(psi, cfg).total <= bound + 1e-12
+    assert bg.gamma_pure(rotated, cfg).total <= bound + 1e-12
+
+
+@given(dims=THEOREM_DIMS, seed=st.integers(0, 2**32 - 1), cfg=THEOREM_CFGS)
+def test_schmidt_frame_attains_the_minor_sum(dims, seed, cfg):
+    _, psi = _random_frame(dims, seed)
+    bound = bg.concurrence_general(psi, prefactor=cfg.n2)
+    at_schmidt, _ = bg.schmidt_rotation(psi)
+    assert abs(bg.gamma_pure(at_schmidt, cfg).total - bound) <= 1e-12
+    assert abs(bound - bg.gamma_schmidt(psi, cfg)) <= 1e-12
+
+
+@given(dims=THEOREM_DIMS, seed=st.integers(0, 2**32 - 1))
+def test_minor_sum_vanishes_on_product_states(dims, seed):
+    rng = np.random.default_rng(seed)
+    m, n = dims
+    a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    amp = np.outer(a, b)
+    amp /= np.linalg.norm(amp)
+    psi = bg.PureState(bg.BipartiteDims(m, n), amp)
+    assert bg.concurrence_general(psi, prefactor=bg.CONCURRENCE_MATCHED.n2) <= 1e-15

@@ -107,6 +107,17 @@ def test_loader_rejects_bad_json(tmp_path):
         bg.load_state(path)
 
 
+@pytest.mark.parametrize("load", [bg.load_state, bg.load_local_unitary])
+def test_loaders_report_missing_or_unreadable_files(tmp_path, load):
+    missing = tmp_path / "absent.json"
+    with pytest.raises(StateFileError, match="cannot read") as info:
+        load(missing)
+    assert str(missing) in str(info.value)
+    with pytest.raises(StateFileError, match="cannot read") as info:
+        load(tmp_path)
+    assert str(tmp_path) in str(info.value)
+
+
 def test_local_unitary_round_trip(tmp_path):
     u = bg.random_local_unitary(bg.BipartiteDims(2, 3), 5)
     doc = {

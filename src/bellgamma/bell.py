@@ -1,16 +1,18 @@
 """Bell-state enumeration, coefficient recovery from Bell projections,
 measurement planning and finite-shot simulation.
 
-The off-diagonal coefficient rho[(k-1)n+p, (l-1)n+q] is addressed by the
-projector pair (|kp> +- |lq>)/sqrt(2): half the difference of the two
-outcome probabilities equals the coefficient's real part.  Only real parts
-are recoverable this way, so gamma estimation presumes the state has been
-locally phase-rotated to make each targeted coefficient real; the
-simulator applies that rotation per target for pure inputs (the phases
-are read off the amplitudes) and requires the caller to supply a rotation
-for mixed inputs.  The exact outcome probabilities are computed once per
-state; the binomial draws of every repetition are then sampled and
-estimated as one batch.
+The off-diagonal coefficient rho[r, c], r = (k-1)n+p and c = (l-1)n+q, is
+addressed by the projector pair (|kp> +- |lq>)/sqrt(2), whose outcome
+probabilities are (rho[r, r] + rho[c, c])/2 +- Re rho[r, c]: half their
+difference equals the coefficient's real part.  Only real parts are
+recoverable this way, so gamma estimation presumes the state has been
+locally phase-rotated to make each targeted coefficient real.  For pure
+input the simulator applies that rotation per target (a phase on A level
+k, read off the amplitudes), which turns Re rho[r, c] into |rho[r, c]|;
+mixed input needs a rotation from the caller.  The exact outcome
+probabilities of all targets are computed once per state, in closed form
+as one gather from the density matrix; the binomial draws of every
+repetition are then sampled and estimated as one batch.
 """
 
 from __future__ import annotations
@@ -263,17 +265,6 @@ class ShotGammaEstimate:
     total: float
 
 
-def _aligning_rotation(
-    mat: np.ndarray, row0: int, col0: int, dims: BipartiteDims, k: int
-) -> np.ndarray:
-    """Local diagonal phase on A level k making rho[row0, col0] real >= 0."""
-    coeff = mat[row0, col0]
-    theta = 0.0 if abs(coeff) == 0.0 else -float(np.angle(coeff))
-    d_a = np.eye(dims.m, dtype=complex)
-    d_a[k - 1, k - 1] = np.exp(1j * theta)
-    return np.kron(d_a, np.eye(dims.n, dtype=complex))
-
-
 def _target_probabilities(
     state: PureState | DensityOperator,
     plan: MeasurementPlan,
@@ -283,35 +274,35 @@ def _target_probabilities(
     array: column 0 for each target's plus projector, column 1 for its
     minus projector.
 
-    Pure input is phase-aligned per target (the phases are read off the
-    amplitudes); mixed input must come with ``phase_rotation``.
+    The projector pair (|kp> +- |lq>)/sqrt(2) of the coefficient rho[r, c]
+    has outcome probabilities (rho[r, r] + rho[c, c])/2 +- Re rho[r, c], so
+    every target is one gather from the (rotated) density matrix.  Pure
+    input is phase-aligned per target: a diagonal phase on A level k makes
+    rho[r, c] real and non-negative and leaves the diagonal alone, so the
+    aligned probabilities use |rho[r, c]|.  Mixed input must come with
+    ``phase_rotation`` and uses Re rho[r, c] of the rotated matrix.
     """
-    dims = state.dims
     if isinstance(state, PureState):
-        base_mat = pure_to_density(state).mat
-        auto_align = True
+        mat = pure_to_density(state).mat
+    elif phase_rotation is None:
+        raise ValueError(
+            "mixed-state simulation requires an explicit phase rotation "
+            "making the targeted coefficients real"
+        )
     else:
-        if phase_rotation is None:
-            raise ValueError(
-                "mixed-state simulation requires an explicit phase rotation "
-                "making the targeted coefficients real"
-            )
-        base_mat = state.mat
-        auto_align = False
+        mat = state.mat
     if phase_rotation is not None:
-        phase_rotation.check_dims(dims)
+        phase_rotation.check_dims(state.dims)
         w = phase_rotation.joint()
-        base_mat = w @ base_mat @ w.conj().T
+        mat = w @ mat @ w.conj().T
 
-    probs = np.empty((len(plan.targets), 2))
-    for i, target in enumerate(plan.targets):
-        mat = base_mat
-        if auto_align:
-            w = _aligning_rotation(base_mat, target.row - 1, target.col - 1, dims, target.k)
-            mat = w @ base_mat @ w.conj().T
-        for j, b in enumerate((target.plus, target.minus)):
-            probs[i, j] = min(max(_project_mat(mat, b, dims), 0.0), 1.0)
-    return probs
+    rows = np.array([t.row - 1 for t in plan.targets], dtype=np.intp)
+    cols = np.array([t.col - 1 for t in plan.targets], dtype=np.intp)
+    diag = mat.diagonal().real
+    mid = (diag[rows] + diag[cols]) / 2.0
+    coeff = mat[rows, cols]
+    off = np.abs(coeff) if isinstance(state, PureState) else coeff.real
+    return np.clip(np.stack([mid + off, mid - off], axis=1), 0.0, 1.0)
 
 
 def _quadruple_columns(
@@ -427,8 +418,9 @@ def shot_error_table(
     """Repeated simulations against the exact gamma, plus the per-shot-count
     median absolute error (the 1/sqrt(shots) convergence summary).
 
-    The exact outcome probabilities are computed once per state, and for
-    each shot count every rep is sampled and estimated as one batch.  Rep
+    The exact outcome probabilities are computed once per state, in closed
+    form (see ``_target_probabilities``), and for each shot count every rep
+    is sampled and estimated as one batch.  Rep
     ``rep`` of shot count ``shots_list[si]`` draws from
     ``SeedSequence((seed, si, rep))``, so each row equals the
     ``simulate_shots`` estimate with that seed.

@@ -49,6 +49,8 @@ class LocalUnitary:
             d = mat.shape[0]
             if mat.shape != (d, d):
                 raise ValueError(f"{name} must be square, got {mat.shape}")
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} entries must be finite")
             if not matrices_close(mat.conj().T @ mat, np.eye(d), tol=UNITARY_TOL):
                 raise ValueError(f"{name} is not unitary within {UNITARY_TOL}")
             mat.setflags(write=False)

@@ -20,9 +20,10 @@ coefficient rho[(k-1)n+q, (l-1)n+p].  Because the integrand is a
 trigonometric polynomial of degree one per axis, a uniform grid of G >= 3
 points per axis evaluates the integral exactly (up to roundoff); a change
 of variables to sum and difference phases is not needed and would not be
-invertible on the torus.  For each quadruple the factors at every grid
-angle are built as one stack per subsystem, and a single einsum over both
-grid axes gives all grid x grid expectation values.
+invertible on the torus.  The factors at every grid angle of one level
+pair's phase form one stack; ``gamma_via_povm`` builds the stack of each
+A pair k<l and each B pair p<q once, and per quadruple a single einsum over
+both grid axes gives all grid x grid expectation values.
 
 The operators here are treated purely as Hermitian observables; positivity
 of delta is neither needed nor asserted.
@@ -130,39 +131,38 @@ class FourierComponent:
     magnitude: float
 
 
+def _grid_angles(grid: int) -> np.ndarray:
+    return TWO_PI * np.arange(grid) / grid
+
+
+def _grid_weights(angles: np.ndarray) -> tuple[list, list]:
+    """The e^(i(phi_A + phi_B)) and e^(i(phi_A - phi_B)) weights of every
+    grid point, as numpy scalars in row-major (A, B) order."""
+    w_plus = np.exp(1j * (angles[:, None] + angles[None, :]))
+    w_minus = np.exp(1j * (angles[:, None] - angles[None, :]))
+    return list(w_plus.ravel()), list(w_minus.ravel())
+
+
 def _component_pair(
-    mat: np.ndarray,
-    dims: BipartiteDims,
-    k: int,
-    l: int,
-    p: int,
-    q: int,
-    grid: int,
-    base: PhaseAssignment,
+    r4: np.ndarray, das: np.ndarray, dbs: np.ndarray, weights: tuple[list, list]
 ) -> tuple[complex, complex]:
     """Both Fourier components (sum and difference weight) for one quadruple,
     sharing a single grid of expectation values.
 
-    The A factors for every grid angle of phi_{A;kl} form one stack, the B
-    factors for every angle of phi_{B;pq} another, and one einsum gives the
-    expectation Tr(rho (delta_a x delta_b)) at all grid x grid points
-    without forming a Kronecker product.
+    ``r4`` is rho reshaped to (m, n, m, n); ``das`` stacks the A factors for
+    every grid angle of phi_{A;kl} and ``dbs`` the B factors for every angle
+    of phi_{B;pq}.  One einsum gives the expectation Tr(rho (delta_a x
+    delta_b)) at all grid x grid points without forming a Kronecker product.
     """
-    r4 = mat.reshape(dims.m, dims.n, dims.m, dims.n)
-    angles = TWO_PI * np.arange(grid) / grid
-    das = _delta_stack({**base.a_phases, (k, l): angles}, dims.m, grid)
-    dbs = _delta_stack({**base.b_phases, (p, q): angles}, dims.n, grid)
     t = np.einsum("kplq,alk,bqp->ab", r4, das, dbs)
-    w_plus = np.exp(1j * (angles[:, None] + angles[None, :]))
-    w_minus = np.exp(1j * (angles[:, None] - angles[None, :]))
     # Weighted sums as numpy-scalar products added in row-major (A, B)
     # order: an array complex product, or Python complex arithmetic, rounds
     # some terms differently in the last bit and changes printed values.
     s_plus = s_minus = 0.0 + 0.0j
-    for wp, wm, tv in zip(list(w_plus.ravel()), list(w_minus.ravel()), t.ravel().tolist()):
+    for wp, wm, tv in zip(*weights, t.ravel().tolist()):
         s_plus += wp * tv
         s_minus += wm * tv
-    norm = grid * grid
+    norm = t.size
     return s_plus / norm, s_minus / norm
 
 
@@ -206,7 +206,14 @@ def fourier_component(
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
     base = base or PhaseAssignment.zeros(rho.dims)
     base.validate(rho.dims)
-    s_plus, s_minus = _component_pair(rho.mat, rho.dims, k, l, p, q, grid, base)
+    dims = rho.dims
+    angles = _grid_angles(grid)
+    s_plus, s_minus = _component_pair(
+        rho.mat.reshape(dims.m, dims.n, dims.m, dims.n),
+        _delta_stack({**base.a_phases, (k, l): angles}, dims.m, grid),
+        _delta_stack({**base.b_phases, (p, q): angles}, dims.n, grid),
+        _grid_weights(angles),
+    )
     mag = abs(s_plus) if branch == "+" else abs(s_minus)
     return FourierComponent(k=k, l=l, p=p, q=q, branch=branch, magnitude=float(mag))
 
@@ -215,11 +222,27 @@ def gamma_via_povm(
     rho: DensityOperator, cfg: MeasureConfig = PAPER_2X3, grid: int = 4
 ) -> float:
     """Gamma assembled from Fourier components of the phase-operator
-    expectation; coincides with the coefficient route ``gamma``."""
+    expectation; coincides with the coefficient route ``gamma``.
+
+    Each A level pair's factor stack, each B level pair's and the grid
+    weights are built once and shared by every quadruple that uses them.
+    """
     _check_grid(grid)
-    base = PhaseAssignment.zeros(rho.dims)
+    dims = rho.dims
+    base = PhaseAssignment.zeros(dims)
+    angles = _grid_angles(grid)
+    a_stacks = {
+        pair: _delta_stack({**base.a_phases, pair: angles}, dims.m, grid)
+        for pair in _pairs(dims.m)
+    }
+    b_stacks = {
+        pair: _delta_stack({**base.b_phases, pair: angles}, dims.n, grid)
+        for pair in _pairs(dims.n)
+    }
+    weights = _grid_weights(angles)
+    r4 = rho.mat.reshape(dims.m, dims.n, dims.m, dims.n)
     acc = 0.0
-    for k, l, p, q in coeff_quadruples(rho.dims.m, rho.dims.n):
-        s_plus, s_minus = _component_pair(rho.mat, rho.dims, k, l, p, q, grid, base)
+    for k, l, p, q in coeff_quadruples(dims.m, dims.n):
+        s_plus, s_minus = _component_pair(r4, a_stacks[k, l], b_stacks[p, q], weights)
         acc += (abs(s_plus) - abs(s_minus)) ** 2
     return math.sqrt(cfg.n2 * C_POVM * acc)

@@ -101,6 +101,10 @@ def _read_json(path: Path):
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise StateFileError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise StateFileError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

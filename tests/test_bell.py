@@ -11,11 +11,11 @@ from bellgamma.bell import (
     NAMED_BELL_2X2,
     NAMED_BELL_2X3,
     ShotErrorRow,
-    _aligning_rotation,
     _cross_pair_orthogonality,
     _estimate,
     _project_mat,
     _quadruple_columns,
+    _target_probabilities,
 )
 from bellgamma.linalg import coeff_quadruples
 
@@ -257,11 +257,21 @@ def test_shot_error_table_rejects_non_positive_counts(bell_2x3):
 
 
 # The simulator before batching: one scalar binomial draw per projector,
-# one simulate call per (shot count, rep).  Kept as the reference the
-# batched simulator must reproduce bit for bit.
+# one simulate call per (shot count, rep), and the exact probabilities from
+# a per-target phase alignment and two projections.  Kept as the reference
+# the batched simulator must reproduce bit for bit.
 
 
-def _reference_simulate(state, shots, seed, phase_rotation=None):
+def _reference_aligning_rotation(mat, row0, col0, dims, k):
+    # Local diagonal phase on A level k making mat[row0, col0] real >= 0.
+    coeff = mat[row0, col0]
+    theta = 0.0 if abs(coeff) == 0.0 else -float(np.angle(coeff))
+    d_a = np.eye(dims.m, dtype=complex)
+    d_a[k - 1, k - 1] = np.exp(1j * theta)
+    return np.kron(d_a, np.eye(dims.n, dtype=complex))
+
+
+def _reference_probabilities(state, plan, phase_rotation=None):
     dims = state.dims
     if isinstance(state, bg.PureState):
         base = bg.pure_to_density(state).mat
@@ -272,19 +282,25 @@ def _reference_simulate(state, shots, seed, phase_rotation=None):
     if phase_rotation is not None:
         w = phase_rotation.joint()
         base = w @ base @ w.conj().T
-    rng = np.random.default_rng(seed)
-    plan = bg.plan_measurement(dims)
-    hats = []
+    probs = []
     for t in plan.targets:
         mat = base
         if align:
-            w = _aligning_rotation(base, t.row - 1, t.col - 1, dims, t.k)
+            w = _reference_aligning_rotation(base, t.row - 1, t.col - 1, dims, t.k)
             mat = w @ base @ w.conj().T
-        pair = []
-        for b in (t.plus, t.minus):
-            prob = min(max(_project_mat(mat, b, dims), 0.0), 1.0)
-            pair.append(rng.binomial(shots, prob) / shots)
-        hats.append(pair)
+        probs.append(
+            [min(max(_project_mat(mat, b, dims), 0.0), 1.0) for b in (t.plus, t.minus)]
+        )
+    return probs
+
+
+def _reference_simulate(state, shots, seed, phase_rotation=None):
+    rng = np.random.default_rng(seed)
+    plan = bg.plan_measurement(state.dims)
+    hats = [
+        [rng.binomial(shots, prob) / shots for prob in pair]
+        for pair in _reference_probabilities(state, plan, phase_rotation)
+    ]
     return _reference_estimate(plan, hats, shots)
 
 
@@ -350,6 +366,27 @@ def test_batched_simulation_equals_reference_on_rotated_density():
     dims = bg.BipartiteDims(2, 3)
     rho = bg.random_density(dims, 3)
     _assert_table_matches_reference(rho, bg.random_local_unitary(dims, 4))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 5)])
+def test_target_probabilities_match_per_target_projections(dims):
+    # The closed form (rho_rr + rho_cc)/2 +- |rho_rc| (pure, aligned) or
+    # +- Re rho_rc (rotated density) against the per-target alignment and
+    # projection it replaced; the two round differently in the last bits.
+    d = bg.BipartiteDims(*dims)
+    plan = bg.plan_measurement(d)
+    for seed in range(4):
+        rotation = bg.random_local_unitary(d, seed + 50)
+        cases = (
+            (bg.random_pure(d, seed), None),
+            (bg.random_pure(d, seed), rotation),
+            (bg.random_density(d, seed + 20), rotation),
+        )
+        for state, rot in cases:
+            got = _target_probabilities(state, plan, rot)
+            want = np.array(_reference_probabilities(state, plan, rot))
+            assert got.shape == (len(plan.targets), 2)
+            assert np.abs(got - want).max() <= 1e-15
 
 
 def test_batched_estimator_squares_like_the_scalar_term():

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +213,34 @@ def test_conjecture_small_run(capsys):
     assert "max_deviation" in err
 
 
+def test_conjecture_exits_1_when_the_search_beats_the_proven_bound(capsys, monkeypatch):
+    # gamma_schmidt is the supremum for pure input; a larger best_gamma is
+    # an optimizer bug, reported per trial while the summaries keep their form.
+    search = bg.local_unitary.maximize_gamma
+    calls = []
+
+    def overshoot_second(psi, cfg, opts):
+        report = search(psi, cfg, opts)
+        calls.append(psi)
+        if len(calls) == 2:
+            report = dataclasses.replace(report, best_gamma=report.schmidt_gamma + 1e-6)
+        return report
+
+    monkeypatch.setattr(bg.local_unitary, "maximize_gamma", overshoot_second)
+    argv = ["conjecture", "--dims", "2x2", "--trials", "3", "--seed", "7", "--threads", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    rows = _parse_csv(out)
+    assert [r["overshoot"] for r in rows] == ["0", "1", "0"]
+    lines = err.splitlines()
+    assert re.fullmatch(
+        r"# 2x2: trials=3 max_deviation=\S+ overshoots=1", lines[0]
+    )
+    assert len(lines) == 2
+    assert lines[1].startswith("error: 2x2 trial 1: best_gamma=")
+    assert "exceeds the proven bound gamma_schmidt=" in lines[1]
+
+
 def test_conjecture_zero_trials(capsys):
     code, out, _ = _run(capsys, ["conjecture", "--dims", "2x3", "--trials", "0"])
     assert code == 0
@@ -299,6 +329,34 @@ def test_missing_or_unreadable_file_exits_2(capsys, tmp_path, bell_file, argv):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {bad}: cannot read (")
+
+
+@pytest.mark.parametrize("which", ["state", "rotation"])
+def test_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path, bell_file, which):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    argv = {
+        "state": ["measure", str(bad)],
+        "rotation": ["simulate", bell_file, "--shots", "10", "--phase-rotation", str(bad)],
+    }[which]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+def test_simulate_rejects_non_finite_rotation(capsys, tmp_path):
+    path = tmp_path / "mixed.qstate.json"
+    bg.save_state(path, bg.random_density(bg.BipartiteDims(2, 2), 2))
+    rot = tmp_path / "rot.json"
+    eye2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    rot.write_text(json.dumps({"u_a": eye2, "u_b": [[[float("nan"), 0.0]] * 2] * 2}))
+    code, out, err = _run(
+        capsys, ["simulate", str(path), "--shots", "10", "--phase-rotation", str(rot)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: u_b entries must be finite\n"
 
 
 @pytest.mark.parametrize("sizes", [(3, 2), (2, 2), (3, 3)])

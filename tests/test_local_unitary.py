@@ -22,6 +22,18 @@ def test_local_unitary_rejects_non_unitary():
         bg.LocalUnitary(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_local_unitary_rejects_non_finite_entries(bad):
+    u = np.eye(2, dtype=complex)
+    u[1, 0] = bad
+    with pytest.raises(ValueError, match="^u_a entries must be finite$"):
+        bg.LocalUnitary(u, np.eye(3))
+    with pytest.raises(ValueError, match="^u_b entries must be finite$"):
+        bg.LocalUnitary(np.eye(3), u)
+    with pytest.raises(ValueError, match="^u_a entries must be finite$"):
+        bg.LocalUnitary(np.full((2, 2), np.nan), np.eye(2))
+
+
 def test_apply_local_identity(bell_2x3):
     out = bg.apply_local(bell_2x3, bg.identity_local(bell_2x3.dims))
     assert bg.matrices_close(out.amp, bell_2x3.amp)

@@ -227,3 +227,18 @@ def test_fourier_component_equals_per_point_loop(dims):
             for branch, want in (("+", s_plus), ("-", s_minus)):
                 got = bg.fourier_component(rho, k, l, p, q, branch, grid=grid, base=base)
                 assert got.magnitude == float(abs(want))
+
+
+@pytest.mark.parametrize("dims", ROUTE_DIMS)
+def test_gamma_via_povm_builds_each_level_pair_stack_once(dims, monkeypatch):
+    d = bg.BipartiteDims(*dims)
+    calls = []
+    build = bg.phase_povm._delta_stack
+
+    def counted(phases, dim, count):
+        calls.append(dim)
+        return build(phases, dim, count)
+
+    monkeypatch.setattr(bg.phase_povm, "_delta_stack", counted)
+    bg.gamma_via_povm(bg.random_density(d, 3), bg.PAPER_2X3, grid=4)
+    assert len(calls) == d.m * (d.m - 1) // 2 + d.n * (d.n - 1) // 2

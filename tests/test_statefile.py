@@ -118,6 +118,15 @@ def test_loaders_report_missing_or_unreadable_files(tmp_path, load):
     assert str(tmp_path) in str(info.value)
 
 
+@pytest.mark.parametrize("load", [bg.load_state, bg.load_local_unitary])
+def test_loaders_report_files_that_are_not_utf8(tmp_path, load):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(StateFileError, match="not UTF-8") as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_local_unitary_round_trip(tmp_path):
     u = bg.random_local_unitary(bg.BipartiteDims(2, 3), 5)
     doc = {
@@ -139,4 +148,13 @@ def test_local_unitary_file_must_be_unitary(tmp_path):
     path = tmp_path / "rot.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(StateFileError, match="unitary"):
+        bg.load_local_unitary(path)
+
+
+def test_local_unitary_file_must_be_finite(tmp_path):
+    eye2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    nan2 = [[[float("nan"), 0.0]] * 2] * 2
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps({"u_a": nan2, "u_b": eye2}))
+    with pytest.raises(StateFileError, match="u_a entries must be finite"):
         bg.load_local_unitary(path)

@@ -151,6 +151,16 @@ def _target(dims: BipartiteDims, k: int, l: int, p: int, q: int) -> CoefficientT
     )
 
 
+def _targets(dims: BipartiteDims) -> tuple[CoefficientTarget, ...]:
+    """Both coefficient positions, (kp, lq) then (kq, lp), of every k<l,
+    p<q quadruple."""
+    return tuple(
+        _target(dims, k, l, pp, qq)
+        for k, l, p, q in coeff_quadruples(dims.m, dims.n)
+        for pp, qq in ((p, q), (q, p))
+    )
+
+
 def _cross_pair_orthogonality(
     projectors: tuple[BellState, ...], dims: BipartiteDims
 ) -> tuple[tuple[int, int], ...]:
@@ -174,11 +184,6 @@ def plan_measurement(
     mirrored orientation, which is the one surviving the qubit-qutrit
     zeroing rotation), so at most M(M-1)N(N-1)/2 projections are needed.
     """
-    targets = []
-    for k, l, p, q in coeff_quadruples(dims.m, dims.n):
-        targets.append(_target(dims, k, l, p, q))
-        targets.append(_target(dims, k, l, q, p))
-
     reduced_positions = []
     reduced_projectors: list[BellState] = []
     reduced_notes: list[str] = []
@@ -219,7 +224,7 @@ def plan_measurement(
 
     return MeasurementPlan(
         dims=dims,
-        targets=tuple(targets),
+        targets=_targets(dims),
         reduced=ReducedPlan(
             positions=tuple(reduced_positions),
             projectors=tuple(reduced_projectors),
@@ -267,7 +272,7 @@ class ShotGammaEstimate:
 
 def _target_probabilities(
     state: PureState | DensityOperator,
-    plan: MeasurementPlan,
+    targets: tuple[CoefficientTarget, ...],
     phase_rotation: LocalUnitary | None,
 ) -> np.ndarray:
     """Exact outcome probabilities, clipped to [0, 1], as a (targets, 2)
@@ -296,8 +301,8 @@ def _target_probabilities(
         w = phase_rotation.joint()
         mat = w @ mat @ w.conj().T
 
-    rows = np.array([t.row - 1 for t in plan.targets], dtype=np.intp)
-    cols = np.array([t.col - 1 for t in plan.targets], dtype=np.intp)
+    rows = np.array([t.row - 1 for t in targets], dtype=np.intp)
+    cols = np.array([t.col - 1 for t in targets], dtype=np.intp)
     diag = mat.diagonal().real
     mid = (diag[rows] + diag[cols]) / 2.0
     coeff = mat[rows, cols]
@@ -306,15 +311,15 @@ def _target_probabilities(
 
 
 def _quadruple_columns(
-    plan: MeasurementPlan, dims: BipartiteDims
+    targets: tuple[CoefficientTarget, ...], dims: BipartiteDims
 ) -> tuple[tuple[tuple[int, int, int, int], ...], np.ndarray]:
-    """The k<l, p<q quadruples and, per quadruple, the plan's target index
-    of its (k, l, p, q) and (k, l, q, p) positions, shape (quadruples, 2).
+    """The k<l, p<q quadruples and, per quadruple, the target index of its
+    (k, l, p, q) and (k, l, q, p) positions, shape (quadruples, 2).
 
-    A position the plan lacks gets index -1, which ``_estimate`` points at
-    a zero column: absent positions count as zero coefficients.
+    A position missing from ``targets`` gets index -1, which ``_estimate``
+    points at a zero column: absent positions count as zero coefficients.
     """
-    index = {(t.k, t.l, t.p, t.q): i for i, t in enumerate(plan.targets)}
+    index = {(t.k, t.l, t.p, t.q): i for i, t in enumerate(targets)}
     quads = tuple(coeff_quadruples(dims.m, dims.n))
     cols = np.array(
         [[index.get((k, l, p, q), -1), index.get((k, l, q, p), -1)] for k, l, p, q in quads],
@@ -346,6 +351,20 @@ def _estimate(
     return coeffs, np.sqrt(n2 * acc)
 
 
+#: numpy draws binomial counts with the trial count as a C long.
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
+
+
+def _check_shots(shots_list) -> None:
+    if any(shots is None or shots < 1 for shots in shots_list):
+        raise ValueError(f"shots must be >= 1, got {shots_list}")
+    if any(shots > _MAX_SHOTS for shots in shots_list):
+        raise ValueError(
+            f"shots must be at most {_MAX_SHOTS}, the largest count numpy "
+            f"can draw, got {shots_list}"
+        )
+
+
 def simulate_shots(
     state: PureState | DensityOperator,
     plan: MeasurementPlan | None = None,
@@ -367,10 +386,10 @@ def simulate_shots(
     plan = plan or plan_measurement(state.dims)
     if shots is None:
         shots = plan.shots_per_projector
-    if not exact and (shots is None or shots < 1):
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not exact:
+        _check_shots([shots])
 
-    probs = _target_probabilities(state, plan, phase_rotation)
+    probs = _target_probabilities(state, plan.targets, phase_rotation)
     if exact:
         hats = probs
         se = np.zeros(len(probs))
@@ -379,7 +398,7 @@ def simulate_shots(
         hats = counts.reshape(probs.shape) / shots
         var = hats * (1.0 - hats) / shots
         se = 0.5 * np.sqrt(var[:, 0] + var[:, 1])
-    quads, cols = _quadruple_columns(plan, state.dims)
+    quads, cols = _quadruple_columns(plan.targets, state.dims)
     coeffs, totals = _estimate(hats[np.newaxis], cols, cfg.n2)
     se = np.append(se, 0.0)[cols]
 
@@ -428,15 +447,15 @@ def shot_error_table(
     shots_list = list(shots_list)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if any(shots < 1 for shots in shots_list):
-        raise ValueError(f"shots must be >= 1, got {shots_list}")
-    plan = plan or plan_measurement(state.dims)
+    _check_shots(shots_list)
+    # only the targets are read, so no plan is built when none is given
+    targets = plan.targets if plan is not None else _targets(state.dims)
     if isinstance(state, PureState):
         truth = gamma(pure_to_density(state), cfg).total
     else:
         truth = gamma(state, cfg).total
-    probs = _target_probabilities(state, plan, phase_rotation).ravel()
-    _, cols = _quadruple_columns(plan, state.dims)
+    probs = _target_probabilities(state, targets, phase_rotation).ravel()
+    _, cols = _quadruple_columns(targets, state.dims)
     rows = []
     medians: dict[int, float] = {}
     for si, shots in enumerate(shots_list):

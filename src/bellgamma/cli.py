@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .bell import plan_measurement, shot_error_table
+from .bell import shot_error_table
 from .linalg import BipartiteDims
 from .local_unitary import (
     OVERSHOOT_MARGIN,
@@ -43,6 +43,10 @@ from .statefile import StateFileError, load_local_unitary, load_state
 
 SEPARABLE_FLAG = "separable-by-gamma-criterion"
 SEPARABLE_TOL = 1e-12
+#: Density input only: some restart of the supremum search stopped at its
+#: sweep cap, so ``gamma_sup`` is a lower bound that may move with the input
+#: in its last digits.
+NOT_CONVERGED_FLAG = "sup-not-converged"
 
 #: Fixed column order of the measure report (documented in the README).
 REPORT_COLUMNS = [
@@ -144,6 +148,7 @@ def cmd_measure(args) -> int:
 
     breakdown = gamma(rho, cfg)
     povm = gamma_via_povm(rho, cfg, grid=args.grid)
+    flags = []
     if isinstance(state, PureState):
         # Per quadruple, ||x| - |y|| <= |x - y|, the modulus of a 2x2
         # amplitude minor, and the minor sum is invariant under local
@@ -151,14 +156,17 @@ def cmd_measure(args) -> int:
         # attains it.  So the supremum is known exactly, and a pure state is
         # separable exactly when its Schmidt rank is 1.
         sup_gamma = concurrence_general(state, prefactor=cfg.n2)
-        separable = schmidt(state).rank == 1
+        if schmidt(state).rank == 1:
+            flags.append(SEPARABLE_FLAG)
     else:
         sup = maximize_gamma(state, cfg, OptimizerOptions(seed=args.seed))
         sup_gamma = sup.best_gamma
         # gamma in the given basis can vanish on an entangled state; only a
         # converged supremum at zero marks the state separable.
-        separable = sup.converged and sup_gamma <= SEPARABLE_TOL
-    flags = [SEPARABLE_FLAG] if separable else []
+        if not sup.converged:
+            flags.append(NOT_CONVERGED_FLAG)
+        elif sup_gamma <= SEPARABLE_TOL:
+            flags.append(SEPARABLE_FLAG)
 
     row = {
         "state": args.state,
@@ -254,14 +262,12 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    plan = plan_measurement(state.dims)
     rows_raw, medians = shot_error_table(
         state,
         args.shots,
         reps=args.reps,
         seed=args.seed,
         cfg=cfg,
-        plan=plan,
         phase_rotation=rotation,
     )
     rows = [

@@ -5,8 +5,13 @@ zeroing construction, a closed-form transformation driving amp[0,0] and
 amp[1,2] to zero for 2x3 states, the Schmidt-basis rotation, and a
 derivative-free coordinate-ascent maximizer of gamma over U(m) x U(n).
 The maximizer runs its restarts in lockstep as one batch: parameters are
-(B, m*m) and (B, n*n) arrays, and each probe of a line search is one
-batched evaluation of the objective.
+(B, m*m) and (B, n*n) arrays.  gamma reads paired coefficients, and for
+each state kind they are one sesquilinear "paired form" of the local
+unitary.  Along one chart coordinate t the moving factor is exactly
+A0 + A1 cos t + A2 sin t, so each coefficient is a fixed combination of
+1, cos t, sin t, cos^2 t, cos t sin t and sin^2 t: a coordinate line is set
+up once from three unitaries, and each probe of its search is one small
+product per restart, with no unitary or rotated state built per probe.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -22,8 +27,8 @@ from .linalg import BipartiteDims, as_complex_matrix, kron, matrices_close
 from .measures import (
     CONCURRENCE_MATCHED,
     MeasureConfig,
-    _gamma_total_amp,
-    _gamma_total_dense,
+    _gamma_of_pairs,
+    _paired_positions,
     gamma_schmidt,
     i_concurrence,
 )
@@ -225,8 +230,12 @@ class OptimizerOptions:
     The objective is smooth except for absolute-value kinks where paired
     coefficients tie, so the search is gradient-free: coordinate-wise
     periodic scans refined by golden-section, swept until a full sweep
-    improves by at most ``tol``.  All ``restarts`` run in lockstep as one
-    batch; each leaves it on its own convergence test or at ``max_sweeps``.
+    improves by at most ``tol``.  Along one chart coordinate t every paired
+    coefficient is a fixed combination of 1, cos t, sin t, cos^2 t,
+    cos t sin t and sin^2 t, so each line is set up once and every probe of
+    its scan and golden-section search evaluates that trigonometric form.
+    All ``restarts`` run in lockstep as one batch; each leaves it on its own
+    convergence test or at ``max_sweeps``.
     """
 
     restarts: int = 8
@@ -295,22 +304,117 @@ def _lockstep_line_max(f1d, x0: np.ndarray, f0: np.ndarray, coarse: int,
     return best_x, best_f
 
 
-def _lockstep_ascent(objective, starts: np.ndarray, m: int, n: int,
+# Paired forms.  gamma reads 2Q paired coefficients (Q quadruples, plus and
+# minus).  For a state rotated by the local unitary (ua, ub) each is a value
+# of a form that is linear in a first copy of the unitary and conjugate-linear
+# in a second: form(start, xa, xb, ya, yb) with (xa, xb) = (ya, yb) = (ua, ub).
+# Every product below is a broadcast multiply-and-sum over the last axis, so
+# a row's value does not depend on the batch it is computed in.
+
+
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over broadcast leading axes, summed along a contiguous last axis."""
+    return (x[..., :, None, :] * y.swapaxes(-1, -2)[..., None, :, :]).sum(axis=-1)
+
+
+def _amp_form(amp: np.ndarray, xa, xb, ya, yb, dims: BipartiteDims) -> np.ndarray:
+    """amp_x[left] * conj(amp_y[right]) with amp_x = xa @ amp @ xb.T and
+    amp_y = ya @ amp @ yb.T, over the flattened (m, n) amplitudes."""
+    left, right = _paired_positions(dims.m, dims.n)
+
+    def rotate(ua, ub):
+        out = _matmul(_matmul(ua, amp), ub.swapaxes(-1, -2))
+        return out.reshape(*out.shape[:-2], dims.size)
+
+    return rotate(xa, xb).take(left, axis=-1) * rotate(ya, yb).take(right, axis=-1).conj()
+
+
+def _dense_form(mat: np.ndarray, xa, xb, ya, yb, dims: BipartiteDims) -> np.ndarray:
+    """(W_x mat W_y^H)[left, right] with W = kron(a, b) per row; only the
+    needed rows of each kron are formed."""
+    left, right = _paired_positions(dims.m, dims.n)
+
+    def kron_rows(ua, ub, rows):
+        w = (ua.take(rows // dims.n, axis=-2)[..., None]
+             * ub.take(rows % dims.n, axis=-2)[..., None, :])
+        return w.reshape(*w.shape[:-2], dims.size)
+
+    return (_matmul(kron_rows(xa, xb, left), mat)
+            * kron_rows(ya, yb, right).conj()).sum(axis=-1)
+
+
+def _form_gamma(form, start: np.ndarray, ua: np.ndarray, ub: np.ndarray,
+                n2: float) -> np.ndarray:
+    """The objective: gamma of each row of ``start`` rotated by (ua, ub)."""
+    return _gamma_of_pairs(form(start, ua, ub, ua, ub), n2)
+
+
+#: Chart-coordinate values at which U(t) = A0 + A1 cos t + A2 sin t is read.
+_ANCHOR_ANGLES = np.array([0.0, math.pi / 2.0, math.pi])
+
+
+def _coordinate_line(form, start: np.ndarray, pair: list, side: int,
+                     x: np.ndarray, ci: int, n2: float):
+    """Gamma along chart coordinate ``ci`` of factor ``side`` (0 for u_a,
+    1 for u_b), as a function of that coordinate for every row of ``start``.
+
+    ``pair`` holds the current (ua, ub) and ``x`` the chart parameters of
+    factor ``side``.  Each parameter enters ``unitary_from_flat`` once,
+    through e^(it), so the factor is U(t) = A0 + A1 cos t + A2 sin t,
+    read off U at 0, pi/2 and pi.  The paired form is linear in U and
+    conjugate-linear in U again, so every coefficient is the fixed
+    combination sum_jk form(A_j, A_k) g_j g_k with g = (1, cos t, sin t).
+    The returned function maps probes of shape (..., R) to gamma with one
+    (..., 5) @ (5, 2Q) product per row.
+    """
+    d = pair[side].shape[-1]
+    trial = np.repeat(x[None], 3, axis=0)
+    trial[..., ci] = _ANCHOR_ANGLES[:, None]
+    u0, u90, u180 = unitary_from_flat(d, trial)
+    a0 = (u0 + u180) / 2.0
+    anchors = np.stack([a0, (u0 - u180) / 2.0, u90 - a0])
+    first, second = list(pair), list(pair)
+    first[side], second[side] = anchors[:, None], anchors[None]
+    g = form(start, *first, *second)  # g[j, k] = form(A_j, A_k), (3, 3, R, 2Q)
+    constant = g[0, 0]
+    # cos t, sin t, cos^2 t, cos t sin t, sin^2 t; the complex coefficients
+    # are read as interleaved (real, imag) pairs, so the product is real.
+    coef = np.stack([g[0, 1] + g[1, 0], g[0, 2] + g[2, 0], g[1, 1],
+                     g[1, 2] + g[2, 1], g[2, 2]], axis=-2).view(float)
+
+    def along(t: np.ndarray) -> np.ndarray:
+        basis = np.empty(t.shape + (1, 5))
+        c, s = basis[..., 0, 0], basis[..., 0, 1]
+        np.cos(t, out=c)
+        np.sin(t, out=s)
+        np.multiply(c, c, out=basis[..., 0, 2])
+        np.multiply(c, s, out=basis[..., 0, 3])
+        np.multiply(s, s, out=basis[..., 0, 4])
+        pairs = (basis @ coef).view(complex)[..., 0, :] + constant
+        return _gamma_of_pairs(pairs, n2)
+
+    return along
+
+
+def _lockstep_ascent(form, starts: np.ndarray, m: int, n: int, n2: float,
                      opts: OptimizerOptions):
     """Coordinate ascent over the U(m) x U(n) chart, one restart per start.
 
-    ``starts`` stacks the input rotated to each restart's base point.  All
-    restarts begin at the identity of the chart and sweep in lockstep; a
-    restart leaves the batch once a full sweep improves it by at most
-    ``opts.tol``.  ``objective(starts[rows], ua, ub)`` evaluates gamma for a
-    batch of candidate pairs, broadcasting leading axes of ``ua`` or ``ub``
-    (several probes per row) against the rows.  Returns per-restart arrays
-    (value, ua, ub, sweeps, converged).
+    ``starts`` stacks the input rotated to each restart's base point, and
+    ``form`` is its paired form (see ``_amp_form``).  All restarts begin at
+    the identity of the chart and sweep in lockstep.  Each coordinate line
+    is set up once from three unitaries per row (``_coordinate_line``), and
+    every probe of its search is evaluated from that trigonometric form, so
+    no probe builds a unitary or a rotated state.  A sweep's value is the
+    objective itself at the unitaries the sweep ends with; a restart leaves
+    the batch once a full sweep improves that value by at most
+    ``opts.tol``.  Returns per-restart arrays (value, ua, ub, sweeps,
+    converged).
     """
     count = len(starts)
     xs = [np.zeros((count, m * m)), np.zeros((count, n * n))]
     us = [unitary_from_flat(m, xs[0]), unitary_from_flat(n, xs[1])]
-    f = objective(starts, *us)
+    f = _form_gamma(form, starts, *us, n2)
     sweeps = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)
@@ -319,26 +423,20 @@ def _lockstep_ascent(objective, starts: np.ndarray, m: int, n: int,
             break
         sweeps[active] += 1
         start = starts[active]
-        f_act = f[active]
-        f_start = f_act
+        f_start = f[active]
+        f_act = f_start
+        pair = [u[active] for u in us]
         for side, d in enumerate((m, n)):
             x = xs[side][active]
-            pair = [u[active] for u in us]
-
-            def along(t, ci):
-                trial = np.empty(t.shape + x.shape[1:])
-                trial[...] = x
-                trial[..., ci] = t
-                pair[side] = unitary_from_flat(d, trial)
-                return objective(start, *pair)
-
             for ci in range(d * d):
+                line = _coordinate_line(form, start, pair, side, x, ci, n2)
                 x[:, ci], f_act = _lockstep_line_max(
-                    lambda t: along(t, ci), x[:, ci], f_act,
-                    opts.coarse_points, opts.line_tol,
+                    line, x[:, ci], f_act, opts.coarse_points, opts.line_tol
                 )
+            pair[side] = unitary_from_flat(d, x)
             xs[side][active] = x
-            us[side][active] = unitary_from_flat(d, x)
+            us[side][active] = pair[side]
+        f_act = _form_gamma(form, start, *pair, n2)
         f[active] = f_act
         done = f_act - f_start <= opts.tol
         converged[active[done]] = True
@@ -346,23 +444,9 @@ def _lockstep_ascent(objective, starts: np.ndarray, m: int, n: int,
     return f, us[0], us[1], sweeps, converged
 
 
-def _amp_objective(amp: np.ndarray, ua: np.ndarray, ub: np.ndarray,
-                   dims: BipartiteDims, n2: float) -> np.ndarray:
-    return _gamma_total_amp(ua @ amp @ ub.swapaxes(-1, -2), dims, n2)
-
-
-def _dense_objective(mat: np.ndarray, ua: np.ndarray, ub: np.ndarray,
-                     dims: BipartiteDims, n2: float) -> np.ndarray:
-    # kron(ua, ub) per row, as the broadcast outer product np.kron forms
-    w = ua[..., :, None, :, None] * ub[..., None, :, None, :]
-    w = w.reshape(*w.shape[:-4], dims.size, dims.size)
-    return _gamma_total_dense(w @ mat @ w.conj().swapaxes(-1, -2), dims, n2)
-
-
-def _restart_batch(state: PureState | DensityOperator, cfg: MeasureConfig,
-                   opts: OptimizerOptions):
+def _restart_batch(state: PureState | DensityOperator, opts: OptimizerOptions):
     """Base points of the restarts, the state rotated to each base point as
-    one stacked array, and the batched objective over that array."""
+    one stacked array, and the paired form over that array."""
     dims = state.dims
     bases: list[tuple[np.ndarray, np.ndarray]] = [
         (np.eye(dims.m, dtype=complex), np.eye(dims.n, dtype=complex))
@@ -376,12 +460,12 @@ def _restart_batch(state: PureState | DensityOperator, cfg: MeasureConfig,
 
     if isinstance(state, PureState):
         start = np.array([ba @ state.amp @ bb.T for ba, bb in bases])
-        evaluate = _amp_objective
+        form = _amp_form
     else:
         joint = [kron(ba, bb) for ba, bb in bases]
         start = np.array([w @ state.mat @ w.conj().T for w in joint])
-        evaluate = _dense_objective
-    return bases, start, lambda rotated, ua, ub: evaluate(rotated, ua, ub, dims, cfg.n2)
+        form = _dense_form
+    return bases, start, partial(form, dims=dims)
 
 
 def maximize_gamma(
@@ -403,9 +487,9 @@ def maximize_gamma(
     """
     opts = opts or OptimizerOptions()
     schmidt_val = gamma_schmidt(state, cfg) if isinstance(state, PureState) else None
-    bases, start, objective = _restart_batch(state, cfg, opts)
+    bases, start, form = _restart_batch(state, opts)
     f, ua, ub, sweeps, converged = _lockstep_ascent(
-        objective, start, state.dims.m, state.dims.n, opts
+        form, start, state.dims.m, state.dims.n, cfg.n2, opts
     )
     best = int(np.argmax(f))
     base_a, base_b = bases[best]

@@ -145,14 +145,10 @@ def _gamma_total(plus: np.ndarray, minus: np.ndarray, n2: float) -> np.ndarray:
     return np.sqrt(n2 * ((plus - minus) ** 2).sum(axis=-1))
 
 
-def _gamma_total_dense(mat: np.ndarray, dims: BipartiteDims, n2: float) -> np.ndarray:
-    """Gamma of each (size, size) matrix in a (..., size, size) batch."""
-    return _gamma_total(*_gamma_coeffs_dense(mat, dims), n2)
-
-
-def _gamma_total_amp(amp: np.ndarray, dims: BipartiteDims, n2: float) -> np.ndarray:
-    """Gamma of each (m, n) amplitude matrix in a (..., m, n) batch."""
-    return _gamma_total(*_gamma_coeffs_amp(amp, dims), n2)
+def _gamma_of_pairs(pairs: np.ndarray, n2: float) -> np.ndarray:
+    """Gamma of each row of a (..., 2Q) batch of paired coefficients, laid
+    out as ``_paired_positions`` lists them."""
+    return _gamma_total(*_split_pairs(np.abs(pairs)), n2)
 
 
 def gamma(rho: DensityOperator, cfg: MeasureConfig = PAPER_2X3) -> GammaBreakdown:

@@ -5,6 +5,7 @@ lines; the whole suite is seeded and finishes in a few minutes on a
 workstation.
 """
 
+import dataclasses
 import math
 import statistics
 import time
@@ -140,12 +141,19 @@ def conjecture_reports():
         reports[label] = bg.conjecture_sweep(
             [label], trials, SEED, bg.CONCURRENCE_MATCHED, opts=SWEEP_OPTS
         )
-    return reports, time.perf_counter() - t0
+    # The same 3x3 trials without the Schmidt restart: how far the search on
+    # its own falls short of the proven supremum.  Reported, not thresholded.
+    unseeded = bg.conjecture_sweep(
+        ["3x3"], 25, SEED, bg.CONCURRENCE_MATCHED,
+        opts=dataclasses.replace(SWEEP_OPTS, include_schmidt=False),
+    )
+    shortfall = max(r.schmidt_gamma - r.best_gamma for r in unseeded.rows)
+    return reports, shortfall, time.perf_counter() - t0
 
 
 def test_criterion_5_conjecture_support(conjecture_reports):
     budget = 180.0
-    reports, elapsed = conjecture_reports
+    reports, shortfall, elapsed = conjecture_reports
     worst = 0.0
     overshoots = 0
     details = []
@@ -159,7 +167,8 @@ def test_criterion_5_conjecture_support(conjecture_reports):
         5,
         ok,
         f"max |best_gamma - i_concurrence| = {worst:.3e}, overshoots above "
-        f"schmidt + 1e-9 = {overshoots} ({', '.join(details)})",
+        f"schmidt + 1e-9 = {overshoots} ({', '.join(details)}); without the "
+        f"Schmidt restart, 3x3 max(gamma_schmidt - best_gamma) = {shortfall:.3e}",
         elapsed,
         budget,
     )

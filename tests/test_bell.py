@@ -383,7 +383,7 @@ def test_target_probabilities_match_per_target_projections(dims):
             (bg.random_density(d, seed + 20), rotation),
         )
         for state, rot in cases:
-            got = _target_probabilities(state, plan, rot)
+            got = _target_probabilities(state, plan.targets, rot)
             want = np.array(_reference_probabilities(state, plan, rot))
             assert got.shape == (len(plan.targets), 2)
             assert np.abs(got - want).max() <= 1e-15
@@ -398,7 +398,7 @@ def test_batched_estimator_squares_like_the_scalar_term():
     shots = 10**5
     probs = np.random.default_rng(5).random((len(plan.targets), 2))
     hats = np.random.default_rng(6).binomial(shots, probs, size=(20000, *probs.shape)) / shots
-    _, cols = _quadruple_columns(plan, dims)
+    _, cols = _quadruple_columns(plan.targets, dims)
     _, totals = _estimate(hats, cols, bg.PAPER_2X3.n2)
     want = [_reference_estimate(plan, rep.tolist(), shots)[1] for rep in hats]
     assert totals.tolist() == want

@@ -79,7 +79,27 @@ def test_measure_product_density_flagged_separable(capsys, tmp_path):
     bg.save_state(path, bg.random_product(bg.BipartiteDims(2, 3), 4))
     code, out, _ = _run(capsys, ["measure", str(path)])
     assert code == 0
-    assert "separable-by-gamma-criterion" in _parse_csv(out)[0]["flags"]
+    row = _parse_csv(out)[0]
+    # the search converges after one sweep per restart: no sup-not-converged
+    assert float(row["gamma_sup"]) <= 1e-12
+    assert row["flags"] == "separable-by-gamma-criterion"
+
+
+def test_measure_unconverged_density_search_is_flagged(capsys, tmp_path, monkeypatch):
+    # Full-rank 2x3 searches rarely converge within the sweep cap; a cap of
+    # one sweep makes that certain, since no restart stops on its first.
+    path = tmp_path / "mixed.qstate.json"
+    bg.save_state(path, bg.random_density(bg.BipartiteDims(2, 3), 5))
+    search = bellgamma.cli.maximize_gamma
+    monkeypatch.setattr(
+        bellgamma.cli, "maximize_gamma",
+        lambda state, cfg, opts: search(state, cfg, dataclasses.replace(opts, max_sweeps=1)),
+    )
+    code, out, _ = _run(capsys, ["measure", str(path)])
+    assert code == 0
+    row = _parse_csv(out)[0]
+    assert float(row["gamma_sup"]) > 0.0
+    assert row["flags"] == "sup-not-converged"
 
 
 def test_measure_entangled_state_with_zero_basis_gamma_not_flagged(
@@ -280,6 +300,22 @@ def test_simulate_rejects_bad_shots(capsys, bell_file):
     code, _, err = _run(capsys, ["simulate", bell_file, "--shots", "0"])
     assert code == 2
     assert "shots" in err
+
+
+@pytest.mark.parametrize("shots", ["9223372036854775808", "100000000000000000000"])
+def test_simulate_rejects_shot_counts_numpy_cannot_draw(capsys, bell_file, shots):
+    code, out, err = _run(capsys, ["simulate", bell_file, "--shots", "10", "--shots", shots])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: shots must be at most 9223372036854775807")
+
+
+def test_simulate_accepts_the_largest_shot_count(capsys, bell_file):
+    code, out, _ = _run(
+        capsys, ["simulate", bell_file, "--shots", "9223372036854775807", "--reps", "1"]
+    )
+    assert code == 0
+    assert len(_parse_csv(out)) == 1
 
 
 @pytest.mark.parametrize("reps", ["0", "-2"])

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import bellgamma as bg
 from bellgamma.local_unitary import (
     SWEEP_OPTS,
+    _coordinate_line,
+    _form_gamma,
     _lockstep_ascent,
     _lockstep_line_max,
     _restart_batch,
@@ -252,28 +254,28 @@ def _reference_line_max(f1d, x0, f0, coarse, line_tol):
     return best_x, best_f
 
 
-def _reference_ascent(objective, m, n, opts):
-    """Coordinate ascent of one restart on its own: (value, sweeps, converged)."""
-    xs = [np.zeros(m * m), np.zeros(n * n)]
+def _reference_ascent(form, start, m, n, n2, opts):
+    """Coordinate ascent of one restart on its own: (value, sweeps, converged).
+
+    ``start`` holds the one restart's rotated state as a batch of one.  Each
+    probe goes through the same coordinate line form as the lockstep search,
+    one probe at a time; a sweep's value is the objective at its unitaries.
+    """
+    xs = [np.zeros((1, m * m)), np.zeros((1, n * n))]
     us = [unitary_from_flat(m, xs[0]), unitary_from_flat(n, xs[1])]
-    f = float(objective(*us))
+    f = float(_form_gamma(form, start, *us, n2)[0])
     for sweep in range(1, opts.max_sweeps + 1):
         f_start = f
         for side, d in enumerate((m, n)):
             x = xs[side]
             for ci in range(d * d):
-
-                def along(t):
-                    trial = x.copy()
-                    trial[ci] = t
-                    pair = list(us)
-                    pair[side] = unitary_from_flat(d, trial)
-                    return float(objective(*pair))
-
-                x[ci], f = _reference_line_max(
-                    along, x[ci], f, opts.coarse_points, opts.line_tol
+                line = _coordinate_line(form, start, us, side, x, ci, n2)
+                x[0, ci], f = _reference_line_max(
+                    lambda t: float(line(np.array([t]))[0]),
+                    x[0, ci], f, opts.coarse_points, opts.line_tol,
                 )
             us[side] = unitary_from_flat(d, x)
+        f = float(_form_gamma(form, start, *us, n2)[0])
         if f - f_start <= opts.tol:
             return f, sweep, True
     return f, opts.max_sweeps, False
@@ -316,19 +318,19 @@ BATCH_CASES = {
 def test_lockstep_restarts_match_restarts_run_alone(case):
     state, max_sweeps = BATCH_CASES[case]
     opts = bg.OptimizerOptions(restarts=8, max_sweeps=max_sweeps, seed=4)
-    _, start, objective = _restart_batch(state, bg.CONCURRENCE_MATCHED, opts)
-    m, n = state.dims.m, state.dims.n
-    f, ua, ub, sweeps, converged = _lockstep_ascent(objective, start, m, n, opts)
+    _, start, form = _restart_batch(state, opts)
+    m, n, n2 = state.dims.m, state.dims.n, bg.CONCURRENCE_MATCHED.n2
+    f, ua, ub, sweeps, converged = _lockstep_ascent(form, start, m, n, n2, opts)
     assert len(f) == 8
     for i in range(8):
         f1, ua1, ub1, sweeps1, converged1 = _lockstep_ascent(
-            objective, start[i:i + 1], m, n, opts
+            form, start[i:i + 1], m, n, n2, opts
         )
         assert abs(f1[0] - f[i]) <= 1e-12
         assert (sweeps1[0], converged1[0]) == (sweeps[i], converged[i])
         assert bg.matrices_close(ua1[0], ua[i]) and bg.matrices_close(ub1[0], ub[i])
         f_ref, sweeps_ref, converged_ref = _reference_ascent(
-            lambda ua, ub: objective(start[i], ua, ub), m, n, opts
+            form, start[i:i + 1], m, n, n2, opts
         )
         assert abs(f_ref - f[i]) <= 1e-12
         assert (sweeps_ref, converged_ref) == (sweeps[i], converged[i])
@@ -339,6 +341,77 @@ def test_maximize_gamma_mixed_product_state():
     report = bg.maximize_gamma(rho, bg.CONCURRENCE_MATCHED, bg.OptimizerOptions(restarts=2, max_sweeps=6))
     assert report.schmidt_gamma is None
     assert report.best_gamma < 1e-9
+
+
+def _random_state(kind, dims, seed):
+    return (bg.random_pure if kind == "pure" else bg.random_density)(dims, seed)
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+def test_coordinate_line_equals_the_objective_at_the_moved_unitary(kind, dims):
+    m, n = dims
+    state = _random_state(kind, bg.BipartiteDims(m, n), 10 * m + n)
+    _, start, form = _restart_batch(state, bg.OptimizerOptions(restarts=3, seed=5))
+    n2 = bg.CONCURRENCE_MATCHED.n2
+    rng = np.random.default_rng(m * n)
+    xs = [rng.uniform(-np.pi, np.pi, (3, m * m)), rng.uniform(-np.pi, np.pi, (3, n * n))]
+    pair = [unitary_from_flat(m, xs[0]), unitary_from_flat(n, xs[1])]
+    for side, d in enumerate((m, n)):
+        for ci in range(d * d):
+            t = rng.uniform(-4 * np.pi, 4 * np.pi, (5, 3))
+            along = _coordinate_line(form, start, pair, side, xs[side], ci, n2)(t)
+            trial = np.repeat(xs[side][None], len(t), axis=0)
+            trial[..., ci] = t
+            moved = list(pair)
+            moved[side] = unitary_from_flat(d, trial)
+            direct = _form_gamma(form, start, *moved, n2)
+            assert along.shape == t.shape
+            assert np.max(np.abs(along - direct)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 4)])
+def test_objective_is_gamma_of_the_rotated_state(kind, dims):
+    d = bg.BipartiteDims(*dims)
+    state = _random_state(kind, d, 3)
+    bases, start, form = _restart_batch(state, bg.OptimizerOptions(restarts=4, seed=1))
+    u = bg.random_local_unitary(d, 2)
+    got = _form_gamma(form, start, u.u_a, u.u_b, bg.PAPER_2X3.n2)
+    for (ba, bb), value in zip(bases, got):
+        moved = bg.LocalUnitary(u.u_a @ ba, u.u_b @ bb)
+        if kind == "pure":
+            want = bg.gamma_pure(bg.apply_local(state, moved), bg.PAPER_2X3).total
+        else:
+            want = bg.gamma(bg.apply_local_density(state, moved), bg.PAPER_2X3).total
+        assert abs(value - want) <= 1e-13
+
+
+def test_maximize_gamma_density_reported_unitary_reproduces_value():
+    rho = bg.random_density(bg.BipartiteDims(2, 3), 11)
+    cfg = bg.CONCURRENCE_MATCHED
+    report = bg.maximize_gamma(rho, cfg, QUICK_OPTS)
+    assert report.best_gamma >= bg.gamma(rho, cfg).total - 1e-12
+    reval = bg.gamma(bg.apply_local_density(rho, report.best_unitary), cfg).total
+    assert reval == pytest.approx(report.best_gamma, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", ["2x2", "2x3"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rank_one_density_reaches_the_pure_supremum(dims, seed):
+    psi = bg.random_pure(bg.BipartiteDims.parse(dims), seed)
+    cfg = bg.CONCURRENCE_MATCHED
+    report = bg.maximize_gamma(bg.pure_to_density(psi), cfg)
+    assert abs(report.best_gamma - bg.gamma_schmidt(psi, cfg)) <= 1e-10
+
+
+@pytest.mark.parametrize("dims", ["2x2", "2x3", "3x2", "3x3"])
+def test_product_density_converges_after_one_sweep_per_restart(dims):
+    rho = bg.random_product(bg.BipartiteDims.parse(dims), 6)
+    report = bg.maximize_gamma(rho, bg.CONCURRENCE_MATCHED, bg.OptimizerOptions(seed=6))
+    assert report.converged
+    assert report.iterations == report.restarts
+    assert report.best_gamma <= 1e-12
 
 
 def test_conjecture_sweep_rows_and_summary():

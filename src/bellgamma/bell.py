@@ -383,13 +383,15 @@ def simulate_shots(
     the zeroed positions.  With ``exact=True`` the true probabilities are
     used unsampled (the infinite-shot limit).  Deterministic given ``seed``.
     """
-    plan = plan or plan_measurement(state.dims)
-    if shots is None:
+    # only the targets and the plan's shot count are read, so no plan is
+    # built when none is given
+    targets = plan.targets if plan is not None else _targets(state.dims)
+    if shots is None and plan is not None:
         shots = plan.shots_per_projector
     if not exact:
         _check_shots([shots])
 
-    probs = _target_probabilities(state, plan.targets, phase_rotation)
+    probs = _target_probabilities(state, targets, phase_rotation)
     if exact:
         hats = probs
         se = np.zeros(len(probs))
@@ -398,7 +400,7 @@ def simulate_shots(
         hats = counts.reshape(probs.shape) / shots
         var = hats * (1.0 - hats) / shots
         se = 0.5 * np.sqrt(var[:, 0] + var[:, 1])
-    quads, cols = _quadruple_columns(plan.targets, state.dims)
+    quads, cols = _quadruple_columns(targets, state.dims)
     coeffs, totals = _estimate(hats[np.newaxis], cols, cfg.n2)
     se = np.append(se, 0.0)[cols]
 

@@ -75,6 +75,7 @@ CONJECTURE_COLUMNS = [
     "best_gamma",
     "deviation",
     "overshoot",
+    "converged",
 ]
 
 SIMULATE_COLUMNS = ["shots", "rep", "gamma_hat", "abs_error"]
@@ -210,6 +211,7 @@ def cmd_conjecture(args) -> int:
             "best_gamma": r.best_gamma,
             "deviation": r.deviation,
             "overshoot": r.overshoot,
+            "converged": r.converged,
         }
         for r in report.rows
     ]

@@ -12,12 +12,13 @@ A0 + A1 cos t + A2 sin t, so each coefficient is a fixed combination of
 1, cos t, sin t, cos^2 t, cos t sin t and sin^2 t: a coordinate line is set
 up once from three unitaries, and each probe of its search is one small
 product per restart, with no unitary or rotated state built per probe.
+A line's search is one scan of a periodic grid followed by a few successive
+parabolic-interpolation steps, each step one probe per restart.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -228,23 +229,29 @@ class OptimizerOptions:
     """Budget for :func:`maximize_gamma`.
 
     The objective is smooth except for absolute-value kinks where paired
-    coefficients tie, so the search is gradient-free: coordinate-wise
-    periodic scans refined by golden-section, swept until a full sweep
-    improves by at most ``tol``.  Along one chart coordinate t every paired
-    coefficient is a fixed combination of 1, cos t, sin t, cos^2 t,
-    cos t sin t and sin^2 t, so each line is set up once and every probe of
-    its scan and golden-section search evaluates that trigonometric form.
-    All ``restarts`` run in lockstep as one batch; each leaves it on its own
-    convergence test or at ``max_sweeps``.
+    coefficients tie, so the search is gradient-free: coordinate-wise line
+    maximization, swept until a full sweep improves by at most ``tol``.
+    Along one chart coordinate t every paired coefficient is a fixed
+    combination of 1, cos t, sin t, cos^2 t, cos t sin t and sin^2 t, so
+    each line is set up once and every probe evaluates that trigonometric
+    form.  A line is scanned on a uniform periodic grid of ``coarse_points``
+    points (at least 3), one of them the current value, and its best cell
+    refined by a few successive parabolic-interpolation steps.  All ``restarts`` run in
+    lockstep as one batch; each leaves it on its own convergence test or at
+    ``max_sweeps``.
     """
 
     restarts: int = 8
     max_sweeps: int = 40
     tol: float = 1e-9
     seed: int = 0
-    coarse_points: int = 8
-    line_tol: float = 1e-6
+    coarse_points: int = 32
     include_schmidt: bool = True
+
+    def __post_init__(self) -> None:
+        # a grid point and its two periodic neighbours must be distinct
+        if self.coarse_points < 3:
+            raise ValueError(f"coarse_points must be >= 3, got {self.coarse_points}")
 
 
 @dataclass(frozen=True)
@@ -257,51 +264,56 @@ class SupremumReport:
     converged: bool
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Successive parabolic-interpolation steps that follow a line's grid scan.
+_PARABOLIC_STEPS = 3
 
 
-def _lockstep_line_max(f1d, x0: np.ndarray, f0: np.ndarray, coarse: int,
-                       line_tol: float):
+def _lockstep_line_max(f1d, x0: np.ndarray, f0: np.ndarray, points: int):
     """Maximize R 2*pi-periodic functions of one variable at once.
 
     ``f1d`` maps arguments of shape (..., R) to values of the same shape,
-    function r taking the arguments in column r; the coarse scan and the
-    first two golden probes are one call each.  Per row, a coarse periodic
-    scan picks the best cell and golden-section refines it; the incumbent
-    (x0, f0) is never abandoned for a worse value.  A bracket shrinks by the
-    same factor whichever side it keeps, so the rows take their golden
-    steps together, each picking its side from its own two probes.
-    Rounding can bring one row's bracket within ``line_tol`` a step before
-    another's; such a row is still probed but left as it is.
+    function r taking the arguments in column r.  One call scans a uniform
+    periodic grid of ``points`` points per row, whose point 0 is the
+    incumbent (x0, f0); the best grid point and its two periodic neighbours
+    bracket the peak.  Each of ``_PARABOLIC_STEPS`` successive parabolic
+    interpolation steps (Brent 1973) then probes, in one call, the vertex of
+    the parabola through each row's bracket.  A vertex outside its bracket
+    is discarded.  A vertex that beats the middle point becomes the middle,
+    and the old middle the bracket end on the far side; one that does not
+    becomes the end on its own side.  The middle only ever moves to a larger
+    value, so the incumbent is never abandoned for a worse one.  Every step
+    is elementwise, so each row ends where it would end alone.
     """
-    best_x, best_f = x0, f0
-    step = 2.0 * math.pi / coarse
-    cx = x0
-    scan = x0 + np.arange(1, coarse)[:, None] * step
-    for x, fx in zip(scan, f1d(scan)):
-        up = fx > best_f
-        best_x, best_f = np.where(up, x, best_x), np.where(up, fx, best_f)
-        cx = np.where(up, x, cx)
-    a, b = cx - step, cx + step
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f1d(np.stack([c, d]))
-    while True:
-        live = b - a > line_tol
-        if not live.any():
-            break
-        left = live & (fc > fd)  # keep [a, d]: the old c becomes d
-        right = live & ~left  # keep [c, b]: the old d becomes c
-        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
-        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
-        probe = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        fp = f1d(probe)
-        c, fc = np.where(left, probe, c), np.where(left, fp, fc)
-        d, fd = np.where(right, probe, d), np.where(right, fp, fd)
-    for x, fx in ((c, fc), (d, fd)):
-        up = fx > best_f
-        best_x, best_f = np.where(up, x, best_x), np.where(up, fx, best_f)
-    return best_x, best_f
+    offsets = 2.0 * math.pi * np.fft.fftfreq(points)
+    values = np.concatenate([f0[None], f1d(x0 + offsets[1:, None])])
+    best = values.argmax(axis=0)
+    rows = np.arange(len(x0))
+    x, fx = x0 + offsets[best], values[best, rows]
+    # bracket ends as offsets from x, with their values
+    lo, hi = np.full_like(x, -offsets[1]), np.full_like(x, offsets[1])
+    f_lo, f_hi = values[best - 1, rows], values[(best + 1) % points, rows]
+    for _ in range(_PARABOLIC_STEPS):
+        g_lo, g_hi = fx - f_lo, fx - f_hi
+        num = 0.5 * (lo * lo * g_hi - hi * hi * g_lo)
+        den = lo * g_hi - hi * g_lo
+        # num / den strictly inside (lo, hi); false as well when den >= 0,
+        # where the parabola has no maximum, and when a value is NaN
+        inside = (num < lo * den) & (num > hi * den)
+        step = np.divide(num, den, out=np.zeros_like(num), where=inside)
+        f_step = f1d(x + step)
+        moved = inside & (f_step > fx)
+        left = step < 0.0
+        # Of lo < min(step, 0) < max(step, 0) < hi the better inner point is
+        # the new middle, so exactly one end moves.
+        at_lo, at_hi = inside & (left != moved), inside & (left == moved)
+        lo = np.where(at_lo, np.minimum(step, 0.0), lo)
+        hi = np.where(at_hi, np.maximum(step, 0.0), hi)
+        f_lo = np.where(at_lo, np.where(left, f_step, fx), f_lo)
+        f_hi = np.where(at_hi, np.where(left, fx, f_step), f_hi)
+        shift = np.where(moved, step, 0.0)
+        x, fx = x + shift, np.where(moved, f_step, fx)
+        lo, hi = lo - shift, hi - shift
+    return x, fx
 
 
 # Paired forms.  gamma reads 2Q paired coefficients (Q quadruples, plus and
@@ -403,8 +415,9 @@ def _lockstep_ascent(form, starts: np.ndarray, m: int, n: int, n2: float,
     ``starts`` stacks the input rotated to each restart's base point, and
     ``form`` is its paired form (see ``_amp_form``).  All restarts begin at
     the identity of the chart and sweep in lockstep.  Each coordinate line
-    is set up once from three unitaries per row (``_coordinate_line``), and
-    every probe of its search is evaluated from that trigonometric form, so
+    is set up once from three unitaries per row (``_coordinate_line``) and
+    maximized by ``_lockstep_line_max``: a periodic grid scan and a few
+    parabolic steps, every probe evaluated from that trigonometric form, so
     no probe builds a unitary or a rotated state.  A sweep's value is the
     objective itself at the unitaries the sweep ends with; a restart leaves
     the batch once a full sweep improves that value by at most
@@ -431,7 +444,7 @@ def _lockstep_ascent(form, starts: np.ndarray, m: int, n: int, n2: float,
             for ci in range(d * d):
                 line = _coordinate_line(form, start, pair, side, x, ci, n2)
                 x[:, ci], f_act = _lockstep_line_max(
-                    line, x[:, ci], f_act, opts.coarse_points, opts.line_tol
+                    line, x[:, ci], f_act, opts.coarse_points
                 )
             pair[side] = unitary_from_flat(d, x)
             xs[side][active] = x
@@ -581,6 +594,10 @@ def conjecture_sweep(
         for t in range(trials)
     ]
     if threads > 1 and tasks:
+        # Imported here: only a threaded sweep needs the pool, and loading
+        # it costs every other CLI call about 0.6 MB of resident memory.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(
                 pool.map(

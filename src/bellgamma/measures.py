@@ -7,9 +7,11 @@ density-matrix coefficients
     rho[(k-1)n+p, (l-1)n+q]   and   rho[(k-1)n+q, (l-1)n+p],
 
 scales by a normalization constant n2 and takes the square root.  For a
-product state the paired coefficients have equal modulus, so gamma
-vanishes identically; that makes it a separability criterion for mixed
-states as well.
+product state, pure or mixed, the paired coefficients have equal modulus,
+so gamma vanishes identically.  For a pure state the supremum over local
+unitaries is zero exactly when the state is a product.  For mixed states
+gamma does not certify entanglement: a mixture of product states is
+separable, yet gamma and its supremum can be well above zero.
 
 Normalization conventions in circulation are mutually inconsistent (on a
 Bell state the pairwise-minor concurrence is 1/sqrt(2) of I-concurrence,

@@ -8,6 +8,7 @@ a state bit for bit.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,18 +28,41 @@ def _matrix_to_pairs(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
+#: What a JSON number parses to.  ``bool`` subclasses ``int``, so the check
+#: compares exact types.
+_NUMBER_TYPES = frozenset({int, float})
+_PAIR = frozenset({2})
+
+
 def _pairs_to_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
+    """A rows x cols complex matrix from a list of rows of [re, im] pairs.
+
+    Every entry must be a list of exactly two numbers; booleans, strings
+    and deeper nesting are refused.  Each level of nesting is checked by
+    one ``map`` pass rather than a Python loop, since the CLI loads a file
+    on every call.
+    """
+    message = f"{what}: entries must be [re, im] pairs of numbers"
     try:
-        arr = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in data],
-            dtype=np.complex128,
-        )
-    except (TypeError, IndexError, ValueError) as exc:
-        raise StateFileError(f"{what}: entries must be [re, im] pairs") from exc
-    if arr.shape != (rows, cols):
-        got = "x".join(map(str, arr.shape)) if arr.ndim == 2 else f"shape {arr.shape}"
+        entries = list(chain.from_iterable(data))
+        lengths = set(map(len, entries))
+        numbers = list(chain.from_iterable(entries))
+    except TypeError as exc:  # data, a row or an entry is not a sequence
+        raise StateFileError(message) from exc
+    # a string or object in place of a list yields strings or keys here
+    if not (lengths <= _PAIR and set(map(type, numbers)) <= _NUMBER_TYPES):
+        raise StateFileError(message)
+    row_lengths = set(map(len, data))
+    if row_lengths != {cols} or len(data) != rows:
+        if len(row_lengths) > 1:
+            raise StateFileError(f"{what}: rows differ in length")
+        got = f"{len(data)}x{row_lengths.pop()}" if data else "no rows"
         raise StateFileError(f"dims mismatch: {what} must be {rows}x{cols}, got {got}")
-    return arr
+    try:
+        flat = np.array(numbers, dtype=float)
+    except OverflowError as exc:
+        raise StateFileError(f"{what}: entry out of floating-point range") from exc
+    return flat.view(np.complex128).reshape(rows, cols)
 
 
 def state_to_dict(state: PureState | DensityOperator) -> dict:
@@ -58,6 +82,8 @@ def state_to_dict(state: PureState | DensityOperator) -> dict:
 def state_from_dict(
     doc: dict, renormalize: bool = False, tol: float = 1e-9
 ) -> PureState | DensityOperator:
+    if not isinstance(doc, dict):
+        raise StateFileError(f"top level must be a JSON object, got {type(doc).__name__}")
     dims_field = doc.get("dims")
     if (
         not isinstance(dims_field, list)

@@ -176,6 +176,18 @@ def test_simulate_validates_shots(bell_2x3):
         bg.simulate_shots(bell_2x3)  # no shots and no plan default
 
 
+def test_simulate_without_a_plan_builds_only_the_targets(bell_2x3, monkeypatch):
+    with_plan = bg.simulate_shots(bell_2x3, bg.plan_measurement(bell_2x3.dims), 500, 7)
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("plan_measurement called")
+
+    monkeypatch.setattr(bg.bell, "plan_measurement", no_plan)
+    assert bg.simulate_shots(bell_2x3, shots=500, seed=7) == with_plan
+    with pytest.raises(ValueError, match="shots"):
+        bg.simulate_shots(bell_2x3)
+
+
 def test_simulate_mixed_requires_rotation():
     rho = bg.random_density(bg.BipartiteDims(2, 2), 1)
     with pytest.raises(ValueError, match="phase rotation"):

@@ -184,6 +184,21 @@ def test_measure_empty_data_exits_2(capsys, tmp_path):
     assert "dims mismatch" in err and "Traceback" not in err
 
 
+def test_measure_density_with_zero_gamma_in_its_basis_finds_the_supremum(capsys, tmp_path):
+    # (|11> + |12> + |21> - |22>)/2 is maximally entangled, yet its paired
+    # coefficients tie in the given basis, so gamma there is 0; the search
+    # must leave that frame and reach the pure-state supremum.
+    psi = bg.PureState(bg.BipartiteDims(2, 2), np.array([[1, 1], [1, -1]]) / 2.0)
+    path = tmp_path / "hadamard.qstate.json"
+    bg.save_state(path, bg.pure_to_density(psi))
+    code, out, _ = _run(capsys, ["measure", str(path)])
+    assert code == 0
+    row = _parse_csv(out)[0]
+    assert float(row["gamma"]) <= 1e-12
+    assert row["flags"] == ""
+    assert abs(float(row["gamma_sup"]) - bg.gamma_schmidt(psi, bg.PAPER_2X3)) <= 1e-10
+
+
 def test_measure_n2_override(capsys, bell_file):
     code, out, _ = _run(capsys, ["measure", bell_file, "--n2", "1.0"])
     assert code == 0
@@ -227,10 +242,30 @@ def test_conjecture_small_run(capsys):
         ["conjecture", "--dims", "2x2", "--trials", "3", "--seed", "7", "--threads", "1"],
     )
     assert code == 0
+    assert out.splitlines()[0] == (
+        "dims,trial,i_concurrence,gamma_schmidt,best_gamma,deviation,overshoot,converged"
+    )
     rows = _parse_csv(out)
     assert len(rows) == 3
     assert all(float(r["deviation"]) < 1e-4 for r in rows)
     assert "max_deviation" in err
+
+
+def test_conjecture_reports_whether_each_search_converged(capsys, monkeypatch):
+    search = bg.local_unitary.maximize_gamma
+    calls = []
+
+    def stop_second(psi, cfg, opts):
+        report = search(psi, cfg, opts)
+        calls.append(psi)
+        assert report.converged
+        return dataclasses.replace(report, converged=len(calls) != 2)
+
+    monkeypatch.setattr(bg.local_unitary, "maximize_gamma", stop_second)
+    argv = ["conjecture", "--dims", "2x2", "--trials", "3", "--seed", "7", "--threads", "1"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert [r["converged"] for r in _parse_csv(out)] == ["1", "0", "1"]
 
 
 def test_conjecture_exits_1_when_the_search_beats_the_proven_bound(capsys, monkeypatch):
@@ -441,3 +476,25 @@ def test_cached_parser_matches_fresh_interpreters(capsys, tmp_path, bell_file):
             env={"PYTHONPATH": src}, timeout=120,
         )
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+@pytest.mark.parametrize("bad", [[1, 0, 5], [True, 0]])
+def test_entries_that_are_not_two_numbers_exit_2(capsys, tmp_path, bell_file, bad):
+    doc = bg.state_to_dict(bg.max_entangled(2, bg.BipartiteDims(2, 2)))
+    doc["data"][0][0] = bad
+    path = tmp_path / "bad.qstate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["measure", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: pure data: entries must be [re, im] pairs of numbers\n"
+
+    eye2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    eye3 = _matrix_to_pairs(np.eye(3))
+    eye3[2][2] = bad
+    rot = tmp_path / "rot.json"
+    rot.write_text(json.dumps({"u_a": eye2, "u_b": eye3}))
+    code, out, err = _run(
+        capsys, ["simulate", bell_file, "--shots", "10", "--phase-rotation", str(rot)]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: u_b: entries must be [re, im] pairs of numbers\n"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import bellgamma as bg
 from bellgamma.local_unitary import (
+    _PARABOLIC_STEPS,
     SWEEP_OPTS,
     _coordinate_line,
     _form_gamma,
@@ -224,34 +225,48 @@ def test_maximize_gamma_deterministic():
     assert bg.matrices_close(r1.best_unitary.u_a, r2.best_unitary.u_a, tol=0.0)
 
 
-def _reference_line_max(f1d, x0, f0, coarse, line_tol):
-    """The line search of one restart on its own, probe by probe."""
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    best_x, best_f = x0, f0
-    step = 2.0 * math.pi / coarse
-    cx = x0
-    for i in range(1, coarse):
-        x = x0 + i * step
-        fx = f1d(x)
-        if fx > best_f:
-            best_x, best_f, cx = x, fx, x
-    a, b = cx - step, cx + step
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = f1d(c), f1d(d)
-    while b - a > line_tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = f1d(c)
+def _reference_line_max(f1d, x0, f0, points, trace=None):
+    """The line search of one restart on its own, probe by probe.
+
+    Python floats and branches stand in for the batched search's arrays and
+    masks; each value goes through the same floating-point operations.  The
+    grid scan keeps the first best point, with the incumbent as point 0.
+    Each parabolic step takes the vertex of the parabola through the
+    bracket, kept only if it falls strictly inside.  ``trace`` collects each
+    step's outcome.
+    """
+    offsets = (2.0 * math.pi * np.fft.fftfreq(points)).tolist()
+    values = [f0] + [f1d(x0 + d) for d in offsets[1:]]
+    best = max(range(points), key=values.__getitem__)
+    x, fx = x0 + offsets[best], values[best]
+    # bracket ends as offsets from x, with their values
+    lo, hi = -offsets[1], offsets[1]
+    f_lo, f_hi = values[best - 1], values[(best + 1) % points]
+    for _ in range(_PARABOLIC_STEPS):
+        g_lo, g_hi = fx - f_lo, fx - f_hi
+        num = 0.5 * (lo * lo * g_hi - hi * hi * g_lo)
+        den = lo * g_hi - hi * g_lo
+        if not (num < lo * den and num > hi * den):
+            outcome = "discarded"
         else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = f1d(d)
-    for x, fx in ((c, fc), (d, fd)):
-        if fx > best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f
+            step = num / den
+            f_step = f1d(x + step)
+            if f_step > fx:
+                outcome = "moved"
+                if step < 0.0:
+                    hi, f_hi = 0.0, fx
+                else:
+                    lo, f_lo = 0.0, fx
+                x, fx, lo, hi = x + step, f_step, lo - step, hi - step
+            else:
+                outcome = "trimmed"
+                if step < 0.0:
+                    lo, f_lo = step, f_step
+                else:
+                    hi, f_hi = step, f_step
+        if trace is not None:
+            trace.append(outcome)
+    return x, fx
 
 
 def _reference_ascent(form, start, m, n, n2, opts):
@@ -272,7 +287,7 @@ def _reference_ascent(form, start, m, n, n2, opts):
                 line = _coordinate_line(form, start, us, side, x, ci, n2)
                 x[0, ci], f = _reference_line_max(
                     lambda t: float(line(np.array([t]))[0]),
-                    x[0, ci], f, opts.coarse_points, opts.line_tol,
+                    x[0, ci], f, opts.coarse_points,
                 )
             us[side] = unitary_from_flat(d, x)
         f = float(_form_gamma(form, start, *us, n2)[0])
@@ -282,27 +297,47 @@ def _reference_ascent(form, start, m, n, n2, opts):
 
 
 def test_lockstep_line_max_stops_each_row_where_it_would_stop_alone():
-    # With line_tol at a bracket width, rounding in the bracket ends makes
-    # some rows take one golden step more than others.
+    # Rows mix a smooth peak, a kinked peak (where parabolic vertices miss)
+    # and a flat line (where every vertex is degenerate), so in one batch
+    # rows move, trim and discard at different steps.
     rng = np.random.default_rng(0)
-    shift, x0 = rng.uniform(-3, 3, 6), rng.uniform(-50, 50, 6)
-    width = 4 * math.pi / 8 * ((math.sqrt(5.0) - 1.0) / 2.0) ** 5
-    probe_counts = set()
-    for tol in width * (1 + np.linspace(-1e-13, 1e-13, 41)):
-        xs, fs = _lockstep_line_max(
-            lambda x: np.cos(x - shift), x0, np.cos(x0 - shift), 8, tol
-        )
-        for r in range(6):
-            probes = []
+    rows = 12
+    shift, x0 = rng.uniform(-3, 3, rows), rng.uniform(-50, 50, rows)
+    smooth, kinked = rng.uniform(0, 1, rows), rng.uniform(0, 1, rows)
+    smooth[-1] = kinked[-1] = 0.0
 
-            def f1d(x):
-                probes.append(x)
-                return float(np.cos(x - shift[r]))
+    def f(x, r=slice(None)):
+        return (smooth[r] * np.cos(x - shift[r])
+                - kinked[r] * np.abs(np.sin((x - shift[r]) / 2.0)))
 
-            x_ref, f_ref = _reference_line_max(f1d, x0[r], f1d(x0[r]), 8, tol)
+    traces = set()
+    for points in (5, 8, 32):
+        xs, fs = _lockstep_line_max(f, x0, f(x0), points)
+        for r in range(rows):
+            trace = []
+            x_ref, f_ref = _reference_line_max(
+                lambda x: float(f(x, r)), x0[r], float(f(x0[r], r)), points, trace
+            )
             assert abs(xs[r] - x_ref) <= 1e-12 and abs(fs[r] - f_ref) <= 1e-12
-            probe_counts.add(len(probes))
-    assert len(probe_counts) > 1
+            assert fs[r] >= f(x0[r], r)
+            traces.add(tuple(trace))
+    assert len(traces) > 2
+    assert {"moved", "trimmed", "discarded"} <= {o for t in traces for o in t}
+
+
+def test_optimizer_options_need_a_grid_of_three_points():
+    assert bg.OptimizerOptions(coarse_points=3).coarse_points == 3
+    for points in (2, 0):
+        with pytest.raises(ValueError, match="coarse_points must be >= 3"):
+            bg.OptimizerOptions(coarse_points=points)
+
+
+def test_lockstep_line_max_finds_a_smooth_peak():
+    rng = np.random.default_rng(1)
+    shift, x0 = rng.uniform(-np.pi, np.pi, 8), rng.uniform(-np.pi, np.pi, 8)
+    xs, fs = _lockstep_line_max(lambda x: np.cos(x - shift), x0, np.cos(x0 - shift), 32)
+    assert np.max(np.abs(np.angle(np.exp(1j * (xs - shift))))) < 1e-6
+    assert np.max(1.0 - fs) < 1e-12
 
 
 # Short budgets leave some restarts unconverged while others stop, so values

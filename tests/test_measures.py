@@ -26,6 +26,22 @@ def test_gamma_vanishes_on_product_states(dims, seed):
     assert bg.gamma(rho, bg.PAPER_2X3).total <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_gamma_sup_of_a_separable_mixture_is_not_zero(seed):
+    # gamma vanishes on every product state, but not on mixtures of them:
+    # an equal mixture of two product states is separable by construction
+    # (and PPT, the exact test at 2x2), yet its supremum is far from zero.
+    # So for mixed input gamma_sup > 0 does not mean entangled.
+    dims = bg.BipartiteDims(2, 2)
+    mixed = (bg.random_product(dims, 2 * seed).mat + bg.random_product(dims, 2 * seed + 1).mat) / 2
+    rho = bg.DensityOperator(dims, mixed)
+    partial_transpose = mixed.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    assert np.linalg.eigvalsh(partial_transpose).min() >= 0.0
+    report = bg.maximize_gamma(rho, bg.CONCURRENCE_MATCHED)
+    assert report.converged
+    assert report.best_gamma > 0.05
+
+
 def test_gamma_bell_2x3(bell_2x3):
     rho = bg.pure_to_density(bell_2x3)
     breakdown = bg.gamma(rho, bg.PAPER_2X3)

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellgamma as bg
+from bellgamma.cli import main
 from bellgamma.statefile import StateFileError
 
 
@@ -158,3 +163,111 @@ def test_local_unitary_file_must_be_finite(tmp_path):
     path.write_text(json.dumps({"u_a": nan2, "u_b": eye2}))
     with pytest.raises(StateFileError, match="u_a entries must be finite"):
         bg.load_local_unitary(path)
+
+
+NOT_PAIRS = [[1.0, 0.0, 5.0], [1.0], [], [True, 0.0], [0.0, False], ["1", 0.0],
+             [None, 0.0], [[1.0], 0.0], "ab", {"re": 1.0, "im": 0.0}, 1.0, None]
+
+
+@pytest.mark.parametrize("bad", NOT_PAIRS, ids=repr)
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_loader_accepts_only_pairs_of_two_numbers(tmp_path, kind, bad):
+    state = bg.max_entangled(1, bg.BipartiteDims(2, 2))
+    if kind == "density":
+        state = bg.pure_to_density(state)
+    doc = bg.state_to_dict(state)
+    doc["data"][0][1] = bad
+    with pytest.raises(StateFileError, match="entries must be \\[re, im\\] pairs of numbers"):
+        bg.load_state(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("bad", NOT_PAIRS, ids=repr)
+def test_local_unitary_file_accepts_only_pairs_of_two_numbers(tmp_path, bad):
+    eye2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    u_b = json.loads(json.dumps(eye2))
+    u_b[1][0] = bad
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps({"u_a": eye2, "u_b": u_b}))
+    with pytest.raises(StateFileError, match="u_b: entries must be"):
+        bg.load_local_unitary(path)
+
+
+def test_loader_accepts_integer_entries_and_reports_huge_ones(tmp_path):
+    doc = {"dims": [2, 2], "kind": "pure", "data": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+    assert bg.load_state(_write(tmp_path, doc)).amp[0, 0] == 1.0
+    doc["data"][1][1] = [10**400, 0]
+    with pytest.raises(StateFileError, match="out of floating-point range"):
+        bg.load_state(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("data, message", [
+    ([[[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "^pure data: rows differ in length$"),
+    ([[]], "^dims mismatch: pure data must be 2x2, got 1x0$"),
+    ([], "^dims mismatch: pure data must be 2x2, got no rows$"),
+])
+def test_loader_reports_rows_of_the_wrong_length(tmp_path, data, message):
+    doc = {"dims": [2, 2], "kind": "pure", "data": data}
+    with pytest.raises(StateFileError, match=message):
+        bg.load_state(_write(tmp_path, doc))
+
+
+def test_state_from_dict_rejects_documents_that_are_not_objects():
+    for doc in ([], "pure", 3, None):
+        with pytest.raises(StateFileError, match="top level must be a JSON object"):
+            bg.state_from_dict(doc)
+
+
+# Any JSON value, plus documents shaped like state and rotation files whose
+# fields are drawn from the same values, so the fuzz reaches every check.
+_json_scalars = (st.none() | st.booleans() | st.integers(-2, 2) | st.integers()
+                 | st.floats() | st.text(max_size=3))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=24,
+)
+_numbers = st.integers(-1, 1) | st.floats(-1.0, 1.0) | st.sampled_from([0.5, 0.0, 1.0])
+_entries = st.lists(_numbers, min_size=2, max_size=2) | _json_values
+_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+) | _json_values
+_documents = (
+    _json_values
+    | st.fixed_dictionaries({
+        "dims": st.lists(st.integers(-1, 3) | st.booleans(), max_size=3) | _json_values,
+        "kind": st.sampled_from(["pure", "density"]) | _json_values,
+        "data": _matrices,
+    })
+    | st.fixed_dictionaries({"u_a": _matrices, "u_b": _matrices})
+)
+
+
+@given(doc=_documents)
+@settings(max_examples=150)
+def test_any_json_document_loads_or_raises_state_file_error(tmp_path_factory, doc):
+    root = tmp_path_factory.getbasetemp() / "fuzz"
+    root.mkdir(exist_ok=True)
+    path = root / "doc.json"
+    path.write_text(json.dumps(doc))
+    for load in (bg.state_from_dict, lambda _: bg.load_local_unitary(path)):
+        try:
+            loaded = load(doc)
+        except StateFileError:
+            continue
+        assert isinstance(loaded, (bg.PureState, bg.DensityOperator, bg.LocalUnitary))
+
+    bell = root / "bell.qstate.json"
+    bg.save_state(bell, bg.max_entangled(2, bg.BipartiteDims(2, 2)))
+    commands = [["povm-check", str(path)], ["measure", str(path)],
+                ["simulate", str(path), "--shots", "10", "--reps", "1"],
+                ["simulate", str(bell), "--shots", "10", "--reps", "1",
+                 "--phase-rotation", str(path)]]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

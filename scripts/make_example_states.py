@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Write a few example .qstate.json files for trying out the CLI."""
+"""Write a few example .qstate.json files for trying out the CLI.
+
+usage: python scripts/make_example_states.py [OUT_DIR]   (default: examples/)
+"""
 
 import pathlib
 import sys
@@ -10,7 +13,7 @@ import bellgamma as bg
 
 
 def main() -> int:
-    out_dir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("examples_states")
+    out_dir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("examples")
     out_dir.mkdir(parents=True, exist_ok=True)
     dims = bg.BipartiteDims(2, 3)
 

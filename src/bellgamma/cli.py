@@ -110,7 +110,31 @@ def _config_from_args(args) -> MeasureConfig:
     return MeasureConfig.from_preset(args.n2_preset)
 
 
-def _add_common(parser: argparse.ArgumentParser, default_preset: str = "paper-2x3") -> None:
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds its generators from non-negative integers."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
+def _add_state(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("state", help="path to a .qstate.json file")
+    parser.add_argument(
+        "--renormalize", action="store_true", help="rescale a near-normalized pure state"
+    )
+
+
+def _add_grid(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--grid", type=int, default=4, help="Fourier points per phase axis (>= 3)"
+    )
+
+
+def _add_n2(parser: argparse.ArgumentParser, default_preset: str = "paper-2x3") -> None:
     parser.add_argument(
         "--n2-preset",
         choices=sorted(PRESET_N2),
@@ -120,13 +144,10 @@ def _add_common(parser: argparse.ArgumentParser, default_preset: str = "paper-2x
     parser.add_argument(
         "--n2", type=float, default=None, help="explicit n2, overrides the preset"
     )
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for independent trials",
-    )
+
+
+def _add_seed_and_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=_seed, default=0, help="base RNG seed (>= 0)")
     parser.add_argument(
         "--output", choices=["json", "csv"], default="csv", help="report format"
     )
@@ -305,14 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure = sub.add_parser(
         "measure", help="all scalar quantities for one state file"
     )
-    p_measure.add_argument("state", help="path to a .qstate.json file")
-    p_measure.add_argument(
-        "--renormalize", action="store_true", help="rescale a near-normalized pure state"
-    )
-    p_measure.add_argument(
-        "--grid", type=int, default=4, help="Fourier points per phase axis (>= 3)"
-    )
-    _add_common(p_measure)
+    _add_state(p_measure)
+    _add_grid(p_measure)
+    _add_n2(p_measure)
+    _add_seed_and_output(p_measure)
     p_measure.set_defaults(func=cmd_measure)
 
     p_conj = sub.add_parser(
@@ -332,29 +349,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="max allowed |best - i_concurrence| for exit code 0",
     )
     # the comparison against I-concurrence presumes the matched normalization
-    _add_common(p_conj, default_preset="concurrence-matched")
+    _add_n2(p_conj, default_preset="concurrence-matched")
+    _add_seed_and_output(p_conj)
+    p_conj.add_argument(
+        "--threads",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker threads for independent trials",
+    )
     p_conj.set_defaults(func=cmd_conjecture)
 
     p_povm = sub.add_parser(
         "povm-check", help="compare the coefficient and Fourier routes"
     )
-    p_povm.add_argument("state", help="path to a .qstate.json file")
-    p_povm.add_argument(
-        "--renormalize", action="store_true", help="rescale a near-normalized pure state"
-    )
-    p_povm.add_argument(
-        "--grid", type=int, default=4, help="Fourier points per phase axis (>= 3)"
-    )
-    _add_common(p_povm)
+    _add_state(p_povm)
+    _add_grid(p_povm)
+    _add_n2(p_povm)
     p_povm.set_defaults(func=cmd_povm_check)
 
     p_sim = sub.add_parser(
         "simulate", help="finite-shot Bell-projection estimates of the measure"
     )
-    p_sim.add_argument("state", help="path to a .qstate.json file")
-    p_sim.add_argument(
-        "--renormalize", action="store_true", help="rescale a near-normalized pure state"
-    )
+    _add_state(p_sim)
     p_sim.add_argument(
         "--shots",
         action="append",
@@ -368,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSON file with local unitary factors u_a, u_b (required for mixed input)",
     )
-    _add_common(p_sim)
+    _add_n2(p_sim)
+    _add_seed_and_output(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser

@@ -171,15 +171,22 @@ def is_density_operator(rho, tol: float = DEFAULT_TOL) -> DensityCheck:
 
 
 @lru_cache(maxsize=None)
+def level_pairs(d: int) -> tuple[tuple[int, int], ...]:
+    """All 1-based level pairs (k, l) with k<l of a d-level subsystem, in
+    lexicographic order.
+
+    The one index set behind the measure (its quadruples), the phase
+    operators (one phase per pair) and the unitary chart (one plane
+    rotation per pair).
+    """
+    return tuple((k, l) for k in range(1, d) for l in range(k + 1, d + 1))
+
+
+@lru_cache(maxsize=None)
 def coeff_quadruples(m: int, n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All 1-based level quadruples (k, l, p, q) with k<l and p<q."""
-    return tuple(
-        (k, l, p, q)
-        for k in range(1, m)
-        for l in range(k + 1, m + 1)
-        for p in range(1, n)
-        for q in range(p + 1, n + 1)
-    )
+    """All 1-based level quadruples (k, l, p, q) with k<l and p<q: the level
+    pairs of A crossed with those of B, A's pair varying slowest."""
+    return tuple((k, l, p, q) for k, l in level_pairs(m) for p, q in level_pairs(n))
 
 
 @lru_cache(maxsize=None)

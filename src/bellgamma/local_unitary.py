@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
-from .linalg import BipartiteDims, as_complex_matrix, kron, matrices_close
+from .linalg import BipartiteDims, as_complex_matrix, kron, level_pairs, matrices_close
 from .measures import (
     CONCURRENCE_MATCHED,
     MeasureConfig,
@@ -176,11 +176,6 @@ def schmidt_rotation(psi: PureState) -> tuple[PureState, LocalUnitary]:
 # Parameterization of U(d): plane rotations plus diagonal phases.
 
 
-@lru_cache(maxsize=None)
-def _level_pairs(d: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(d - 1) for j in range(i + 1, d))
-
-
 def unitary_from_flat(d: int, x: np.ndarray) -> np.ndarray:
     """Materialize d x d unitaries from d*d real parameters each.
 
@@ -188,8 +183,9 @@ def unitary_from_flat(d: int, x: np.ndarray) -> np.ndarray:
     (..., d, d) result, and every unitary of a batch is built by the same
     operations as it would be alone.
 
-    Layout: (theta, phi) per level pair (d*(d-1) values, pair-major), then d
-    diagonal phases.  The result is the product of the plane rotations
+    Layout: (theta, phi) per level pair k<l in the order of
+    ``linalg.level_pairs`` (d*(d-1) values, pair-major), then d diagonal
+    phases.  The result is the product of the plane rotations
     applied to the diagonal phase matrix; it is unitary for every parameter
     value, and the chart reaches all of U(d) (triangular elimination by
     complex plane rotations).
@@ -200,7 +196,7 @@ def unitary_from_flat(d: int, x: np.ndarray) -> np.ndarray:
             f"expected {d * d} parameters for U({d}), got shape {x.shape}"
         )
     rows = x.reshape(-1, d * d)
-    count, pairs = len(rows), _level_pairs(d)
+    count, pairs = len(rows), level_pairs(d)
     rot = 2 * len(pairs)
     # Every parameter enters through e^(i x): a rotation angle by its real
     # and imaginary parts (cos, sin), a phase as it is.
@@ -209,11 +205,13 @@ def unitary_from_flat(d: int, x: np.ndarray) -> np.ndarray:
     u = np.zeros((count, d * d), dtype=complex)
     u[:, :: d + 1] = z[:, rot:]
     u = u.reshape(count, d, d)
-    # Pair (i, j) maps rows (r_i, r_j) to (c r_i - e s r_j, conj(e) s r_i + c r_j);
-    # coef[:, 0] holds each pair's two coefficients of r_i, coef[:, 1] of r_j.
+    # Pair (k, l) maps rows (r_i, r_j), 0-based i = k-1 and j = l-1, to
+    # (c r_i - e s r_j, conj(e) s r_i + c r_j); coef[:, 0] holds each pair's
+    # two coefficients of r_i, coef[:, 1] of r_j.
     coef = np.concatenate([c, np.conj(e) * s, -(e * s), c], axis=1)
     coef = coef.reshape(count, 2, 2, len(pairs), 1)
-    for idx, (i, j) in enumerate(pairs):
+    for idx, (k, l) in enumerate(pairs):
+        i, j = k - 1, l - 1
         # the slice i:j+1:j-i selects rows i and j
         u[:, i:j + 1:j - i] = (coef[:, 0, :, idx] * u[:, i, None]
                                + coef[:, 1, :, idx] * u[:, j, None])
@@ -230,28 +228,23 @@ class OptimizerOptions:
 
     The objective is smooth except for absolute-value kinks where paired
     coefficients tie, so the search is gradient-free: coordinate-wise line
-    maximization, swept until a full sweep improves by at most ``tol``.
-    Along one chart coordinate t every paired coefficient is a fixed
-    combination of 1, cos t, sin t, cos^2 t, cos t sin t and sin^2 t, so
-    each line is set up once and every probe evaluates that trigonometric
-    form.  A line is scanned on a uniform periodic grid of ``coarse_points``
-    points (at least 3), one of them the current value, and its best cell
-    refined by a few successive parabolic-interpolation steps.  All ``restarts`` run in
-    lockstep as one batch; each leaves it on its own convergence test or at
-    ``max_sweeps``.
+    maximization, swept until a full sweep improves by at most
+    ``_SWEEP_TOL`` (1e-9).  Along one chart coordinate t every paired
+    coefficient is a fixed combination of 1, cos t, sin t, cos^2 t,
+    cos t sin t and sin^2 t, so each line is set up once and every probe
+    evaluates that trigonometric form.  A line is scanned on a uniform
+    periodic grid of ``_GRID_POINTS`` (32) points, one of them the current
+    value, and its best cell refined by ``_PARABOLIC_STEPS`` successive
+    parabolic-interpolation steps.  All ``restarts`` run in lockstep as one
+    batch; each leaves it on its own convergence test or at ``max_sweeps``.
+    ``seed`` draws the random restarts; ``include_schmidt`` makes the second
+    restart of a pure input start at its Schmidt rotation.
     """
 
     restarts: int = 8
     max_sweeps: int = 40
-    tol: float = 1e-9
     seed: int = 0
-    coarse_points: int = 32
     include_schmidt: bool = True
-
-    def __post_init__(self) -> None:
-        # a grid point and its two periodic neighbours must be distinct
-        if self.coarse_points < 3:
-            raise ValueError(f"coarse_points must be >= 3, got {self.coarse_points}")
 
 
 @dataclass(frozen=True)
@@ -264,6 +257,10 @@ class SupremumReport:
     converged: bool
 
 
+#: A restart converges once a full sweep raises gamma by at most this much.
+_SWEEP_TOL = 1e-9
+#: Points of the periodic grid that starts each line search.
+_GRID_POINTS = 32
 #: Successive parabolic-interpolation steps that follow a line's grid scan.
 _PARABOLIC_STEPS = 3
 
@@ -421,7 +418,7 @@ def _lockstep_ascent(form, starts: np.ndarray, m: int, n: int, n2: float,
     no probe builds a unitary or a rotated state.  A sweep's value is the
     objective itself at the unitaries the sweep ends with; a restart leaves
     the batch once a full sweep improves that value by at most
-    ``opts.tol``.  Returns per-restart arrays (value, ua, ub, sweeps,
+    ``_SWEEP_TOL``.  Returns per-restart arrays (value, ua, ub, sweeps,
     converged).
     """
     count = len(starts)
@@ -444,14 +441,14 @@ def _lockstep_ascent(form, starts: np.ndarray, m: int, n: int, n2: float,
             for ci in range(d * d):
                 line = _coordinate_line(form, start, pair, side, x, ci, n2)
                 x[:, ci], f_act = _lockstep_line_max(
-                    line, x[:, ci], f_act, opts.coarse_points
+                    line, x[:, ci], f_act, _GRID_POINTS
                 )
             pair[side] = unitary_from_flat(d, x)
             xs[side][active] = x
             us[side][active] = pair[side]
         f_act = _form_gamma(form, start, *pair, n2)
         f[active] = f_act
-        done = f_act - f_start <= opts.tol
+        done = f_act - f_start <= _SWEEP_TOL
         converged[active[done]] = True
         active = active[~done]
     return f, us[0], us[1], sweeps, converged
@@ -583,16 +580,14 @@ def conjecture_sweep(
     I-concurrence and against the Schmidt-basis benchmark.
 
     Per-trial seeds are fixed up front, so results are deterministic for any
-    thread count.
+    thread count.  There is one summary per entry of ``dims_list``, labelled
+    with its parsed dims.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     opts = opts or SWEEP_OPTS
-    tasks = [
-        (BipartiteDims.parse(d) if isinstance(d, str) else d, di, t)
-        for di, d in enumerate(dims_list)
-        for t in range(trials)
-    ]
+    parsed = [BipartiteDims.parse(d) if isinstance(d, str) else d for d in dims_list]
+    tasks = [(d, di, t) for di, d in enumerate(parsed) for t in range(trials)]
     if threads > 1 and tasks:
         # Imported here: only a threaded sweep needs the pool, and loading
         # it costs every other CLI call about 0.6 MB of resident memory.
@@ -608,13 +603,14 @@ def conjecture_sweep(
     else:
         rows = [_conjecture_trial(d, di, t, seed, cfg, opts) for d, di, t in tasks]
 
+    # Rows come in task order, ``trials`` of them per entry of
+    # ``dims_list``, so a repeated entry keeps a group of its own.
     summaries = []
-    for d in dims_list:
-        label = d if isinstance(d, str) else d.label()
-        group = [r for r in rows if r.dims == label]
+    for di, d in enumerate(parsed):
+        group = rows[di * trials:(di + 1) * trials]
         summaries.append(
             ConjectureSummary(
-                dims=label,
+                dims=d.label(),
                 trials=len(group),
                 max_deviation=max((r.deviation for r in group), default=0.0),
                 overshoots=sum(r.overshoot for r in group),

@@ -48,7 +48,8 @@ PRESET_N2 = {
 
 @dataclass(frozen=True)
 class MeasureConfig:
-    """Normalization constant n2 plus the preset name it came from."""
+    """Normalization constant n2 (finite and positive) plus the preset name
+    it came from."""
 
     n2: float
     preset: str = "custom"
@@ -56,6 +57,8 @@ class MeasureConfig:
     def __post_init__(self) -> None:
         if not self.n2 > 0:
             raise ValueError(f"n2 must be positive, got {self.n2}")
+        if not math.isfinite(self.n2):
+            raise ValueError(f"n2 must be finite, got {self.n2}")
         if self.preset != "custom" and self.preset not in PRESET_N2:
             raise ValueError(f"unknown preset {self.preset!r}")
 

@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import BipartiteDims, coeff_quadruples
+from .linalg import BipartiteDims, coeff_quadruples, level_pairs
 from .measures import PAPER_2X3, MeasureConfig
 from .states import DensityOperator
 
@@ -50,12 +50,8 @@ TWO_PI = 2.0 * math.pi
 C_POVM = TWO_PI**4
 
 
-def _pairs(d: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(1, d) for j in range(i + 1, d + 1))
-
-
 def _validate_phases(name: str, phases: Mapping[tuple[int, int], float], d: int) -> None:
-    got, want = set(phases), set(_pairs(d))
+    got, want = set(phases), set(level_pairs(d))
     if got != want:
         missing = sorted(want - got)
         extra = sorted(got - want)
@@ -80,8 +76,8 @@ class PhaseAssignment:
     @classmethod
     def zeros(cls, dims: BipartiteDims) -> "PhaseAssignment":
         return cls(
-            a_phases={pair: 0.0 for pair in _pairs(dims.m)},
-            b_phases={pair: 0.0 for pair in _pairs(dims.n)},
+            a_phases={pair: 0.0 for pair in level_pairs(dims.m)},
+            b_phases={pair: 0.0 for pair in level_pairs(dims.n)},
         )
 
 
@@ -233,11 +229,11 @@ def gamma_via_povm(
     angles = _grid_angles(grid)
     a_stacks = {
         pair: _delta_stack({**base.a_phases, pair: angles}, dims.m, grid)
-        for pair in _pairs(dims.m)
+        for pair in level_pairs(dims.m)
     }
     b_stacks = {
         pair: _delta_stack({**base.b_phases, pair: angles}, dims.n, grid)
-        for pair in _pairs(dims.n)
+        for pair in level_pairs(dims.n)
     }
     weights = _grid_weights(angles)
     r4 = rho.mat.reshape(dims.m, dims.n, dims.m, dims.n)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import BipartiteDims
 from .local_unitary import LocalUnitary
-from .states import DensityOperator, PureState
+from .states import NORM_TOL, DensityOperator, PureState
 
 QSTATE_EXT = ".qstate.json"
 
@@ -34,7 +34,7 @@ _NUMBER_TYPES = frozenset({int, float})
 _PAIR = frozenset({2})
 
 
-def _pairs_to_matrix(data, rows: int, cols: int, what: str) -> np.ndarray:
+def _matrix_from_pairs(data, rows: int, cols: int, what: str) -> np.ndarray:
     """A rows x cols complex matrix from a list of rows of [re, im] pairs.
 
     Every entry must be a list of exactly two numbers; booleans, strings
@@ -79,9 +79,12 @@ def state_to_dict(state: PureState | DensityOperator) -> dict:
     }
 
 
-def state_from_dict(
-    doc: dict, renormalize: bool = False, tol: float = 1e-9
-) -> PureState | DensityOperator:
+def state_from_dict(doc: dict, renormalize: bool = False) -> PureState | DensityOperator:
+    """A state from a parsed state document.
+
+    Pure amplitudes must normalize within ``states.NORM_TOL`` unless
+    ``renormalize`` is set, which rescales them.
+    """
     if not isinstance(doc, dict):
         raise StateFileError(f"top level must be a JSON object, got {type(doc).__name__}")
     dims_field = doc.get("dims")
@@ -98,13 +101,13 @@ def state_from_dict(
 
     kind = doc.get("kind")
     if kind == "pure":
-        amp = _pairs_to_matrix(doc.get("data"), dims.m, dims.n, "pure data")
+        amp = _matrix_from_pairs(doc.get("data"), dims.m, dims.n, "pure data")
         norm = float(np.linalg.norm(amp))
-        if abs(norm * norm - 1.0) > tol:
+        if abs(norm * norm - 1.0) > NORM_TOL:
             if not renormalize:
                 raise StateFileError(
                     f"pure state not normalized: sum |amp|^2 = {norm * norm!r} "
-                    f"(tolerance {tol}); pass renormalize to rescale"
+                    f"(tolerance {NORM_TOL}); pass renormalize to rescale"
                 )
             if norm == 0.0:
                 raise StateFileError("pure state has zero norm")
@@ -114,7 +117,7 @@ def state_from_dict(
         except ValueError as exc:
             raise StateFileError(str(exc)) from exc
     if kind == "density":
-        mat = _pairs_to_matrix(doc.get("data"), dims.size, dims.size, "density data")
+        mat = _matrix_from_pairs(doc.get("data"), dims.size, dims.size, "density data")
         try:
             return DensityOperator(dims, mat)
         except ValueError as exc:
@@ -137,14 +140,12 @@ def _read_json(path: Path):
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def load_state(
-    path, renormalize: bool = False, tol: float = 1e-9
-) -> PureState | DensityOperator:
+def load_state(path, renormalize: bool = False) -> PureState | DensityOperator:
     path = Path(path)
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be a JSON object")
-    return state_from_dict(doc, renormalize=renormalize, tol=tol)
+    return state_from_dict(doc, renormalize=renormalize)
 
 
 def save_state(path, state: PureState | DensityOperator) -> None:
@@ -165,7 +166,7 @@ def load_local_unitary(path) -> LocalUnitary:
         if not isinstance(data, list) or not data:
             raise StateFileError(f"{path}: {key} must be a nested array")
         d = len(data)
-        mats.append(_pairs_to_matrix(data, d, d, key))
+        mats.append(_matrix_from_pairs(data, d, d, key))
     try:
         return LocalUnitary(*mats)
     except ValueError as exc:

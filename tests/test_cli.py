@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -498,3 +499,128 @@ def test_entries_that_are_not_two_numbers_exit_2(capsys, tmp_path, bell_file, ba
     )
     assert (code, out) == (2, "")
     assert err == "error: u_b: entries must be [re, im] pairs of numbers\n"
+
+
+#: Every option each subcommand accepts (positionals by name, -h aside).
+#: Each is read by its command; nothing is accepted and then ignored.
+CLI_SURFACE = {
+    "measure": {"state", "--renormalize", "--grid", "--n2-preset", "--n2", "--seed",
+                "--output"},
+    "conjecture": {"--dims", "--trials", "--threshold", "--n2-preset", "--n2", "--seed",
+                   "--threads", "--output"},
+    "povm-check": {"state", "--renormalize", "--grid", "--n2-preset", "--n2"},
+    "simulate": {"state", "--renormalize", "--shots", "--reps", "--phase-rotation",
+                 "--n2-preset", "--n2", "--seed", "--output"},
+}
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_each_subcommand_declares_exactly_the_options_it_reads():
+    parser = bellgamma.cli.build_parser()
+    (sub,) = (a for a in parser._actions if a.choices and a.dest == "command")
+    surface = {
+        name: {a.option_strings[0] if a.option_strings else a.dest
+               for a in p._actions if a.dest != "help"}
+        for name, p in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    assert sum(map(len, surface.values())) == 29
+
+
+@pytest.mark.parametrize("argv", [
+    ["povm-check", "STATE", "--seed", "1"],
+    ["povm-check", "STATE", "--output", "json"],
+    ["povm-check", "STATE", "--threads", "2"],
+    ["measure", "STATE", "--threads", "2"],
+    ["simulate", "STATE", "--shots", "10", "--threads", "2"],
+])
+def test_options_a_command_does_not_read_exit_2(capsys, bell_file, argv):
+    argv = [bell_file if a == "STATE" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+def test_readme_synopsis_lists_exactly_the_accepted_options():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    # one entry per subcommand: its "bellgamma NAME" line and indented continuations
+    entries = re.findall(r"^bellgamma (\S+)(.*(?:\n +.*)*)", readme, flags=re.M)
+    assert [name for name, _ in entries] == list(CLI_SURFACE)
+    for name, text in entries:
+        listed = set(re.findall(r"--[a-z0-9-]+", text))
+        if "STATE.qstate.json" in text:
+            listed.add("state")
+        assert listed == CLI_SURFACE[name], name
+
+
+@pytest.mark.parametrize("command", [
+    ["measure", "PURE"],
+    ["measure", "RHO"],
+    ["simulate", "PURE", "--shots", "10"],
+    ["conjecture", "--dims", "2x2", "--trials", "1"],
+])
+def test_negative_seed_exits_2_naming_the_flag(capsys, tmp_path, bell_file, command):
+    rho = tmp_path / "rho.qstate.json"
+    bg.save_state(rho, bg.random_density(bg.BipartiteDims(2, 2), 0))
+    files = {"PURE": bell_file, "RHO": str(rho)}
+    argv = [files.get(a, a) for a in command] + ["--seed", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(
+        "error: argument --seed: expected a non-negative integer, got '-1'\n"
+    )
+
+
+@pytest.mark.parametrize("command", [
+    ["measure", "STATE"],
+    ["povm-check", "STATE"],
+    ["simulate", "STATE", "--shots", "10"],
+    ["conjecture", "--dims", "2x2", "--trials", "1"],
+])
+def test_infinite_n2_exits_2(capsys, bell_file, command):
+    argv = [bell_file if a == "STATE" else a for a in command] + ["--n2", "inf"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (2, "", "error: n2 must be finite, got inf\n")
+
+
+def test_conjecture_summary_is_labelled_with_the_parsed_dims(capsys):
+    argv = ["--trials", "2", "--threshold", "1e-20", "--threads", "1"]
+    upper = _run(capsys, ["conjecture", "--dims", "2X2", *argv])
+    lower = _run(capsys, ["conjecture", "--dims", "2x2", *argv])
+    assert upper == lower
+    code, _, err = upper
+    (summary,) = err.splitlines()
+    match = re.fullmatch(r"# 2x2: trials=2 max_deviation=(\S+) overshoots=0", summary)
+    assert match
+    assert code == (0 if float(match.group(1)) < 1e-20 else 1)
+
+
+def test_conjecture_repeated_dims_get_one_summary_each(capsys):
+    code, out, err = _run(
+        capsys, ["conjecture", "--dims", "2x2", "--dims", "2x2", "--trials", "2",
+                 "--threads", "1"],
+    )
+    assert code == 0
+    rows = _parse_csv(out)
+    assert [r["trial"] for r in rows] == ["0", "1", "0", "1"]
+    summaries = err.splitlines()
+    assert len(summaries) == 2
+    for i, summary in enumerate(summaries):
+        match = re.fullmatch(r"# 2x2: trials=2 max_deviation=(\S+) overshoots=0", summary)
+        assert match
+        group = rows[2 * i:2 * i + 2]
+        assert float(match.group(1)) == max(float(r["deviation"]) for r in group)
+
+
+def test_example_script_writes_to_the_git_ignored_examples_dir(capsys, tmp_path, monkeypatch):
+    script = runpy.run_path(str(REPO_ROOT / "scripts" / "make_example_states.py"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["make_example_states.py"])
+    assert script["main"]() == 0
+    assert [p.parent for p in tmp_path.rglob("*.qstate.json")] == [tmp_path / "examples"] * 5
+    assert "/examples/" in (REPO_ROOT / ".gitignore").read_text().splitlines()

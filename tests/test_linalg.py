@@ -7,6 +7,25 @@ import bellgamma as bg
 from bellgamma.linalg import BipartiteDims, as_complex_matrix
 
 
+def test_level_pairs_are_the_ordered_pairs_k_below_l():
+    assert bg.level_pairs(2) == ((1, 2),)
+    assert bg.level_pairs(3) == ((1, 2), (1, 3), (2, 3))
+    for d in range(2, 7):
+        pairs = bg.level_pairs(d)
+        assert len(pairs) == d * (d - 1) // 2
+        assert list(pairs) == sorted(pairs)
+        assert all(1 <= k < l <= d for k, l in pairs)
+
+
+def test_coeff_quadruples_cross_the_level_pairs_of_a_and_b():
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 4), (4, 4)]:
+        quads = bg.coeff_quadruples(m, n)
+        assert quads == tuple(
+            (k, l, p, q) for k, l in bg.level_pairs(m) for p, q in bg.level_pairs(n)
+        )
+        assert len(quads) == m * (m - 1) * n * (n - 1) // 4
+
+
 def test_kron_identity_blocks():
     assert bg.matrices_close(bg.kron(np.eye(2), np.eye(3)), np.eye(6))
 

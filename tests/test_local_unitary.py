@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import bellgamma as bg
 from bellgamma.local_unitary import (
+    _GRID_POINTS,
     _PARABOLIC_STEPS,
+    _SWEEP_TOL,
     SWEEP_OPTS,
     _coordinate_line,
     _form_gamma,
@@ -125,6 +127,21 @@ def test_unitary_chart_identity_at_zero():
         assert bg.matrices_close(unitary_from_flat(d, np.zeros(d * d)), np.eye(d))
         batch = unitary_from_flat(d, np.zeros((3, d * d)))
         assert all(bg.matrices_close(u, np.eye(d)) for u in batch)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_unitary_chart_is_plane_rotations_over_level_pairs(d):
+    # One rotation G per level pair k<l, in linalg.level_pairs order, each
+    # applied from the left to the diagonal phase matrix.
+    x = np.random.default_rng(d).uniform(-np.pi, np.pi, d * d)
+    u = np.diag(np.exp(1j * x[d * (d - 1):]))
+    for idx, (k, l) in enumerate(bg.level_pairs(d)):
+        i, j = k - 1, l - 1
+        c, s, e = math.cos(x[2 * idx]), math.sin(x[2 * idx]), np.exp(1j * x[2 * idx + 1])
+        g = np.eye(d, dtype=complex)
+        g[i, i], g[i, j], g[j, i], g[j, j] = c, -e * s, np.conj(e) * s, c
+        u = g @ u
+    assert bg.matrices_close(unitary_from_flat(d, x), u, tol=1e-12)
 
 
 def test_unitary_chart_rejects_wrong_parameter_count():
@@ -287,11 +304,11 @@ def _reference_ascent(form, start, m, n, n2, opts):
                 line = _coordinate_line(form, start, us, side, x, ci, n2)
                 x[0, ci], f = _reference_line_max(
                     lambda t: float(line(np.array([t]))[0]),
-                    x[0, ci], f, opts.coarse_points,
+                    x[0, ci], f, _GRID_POINTS,
                 )
             us[side] = unitary_from_flat(d, x)
         f = float(_form_gamma(form, start, *us, n2)[0])
-        if f - f_start <= opts.tol:
+        if f - f_start <= _SWEEP_TOL:
             return f, sweep, True
     return f, opts.max_sweeps, False
 
@@ -323,13 +340,6 @@ def test_lockstep_line_max_stops_each_row_where_it_would_stop_alone():
             traces.add(tuple(trace))
     assert len(traces) > 2
     assert {"moved", "trimmed", "discarded"} <= {o for t in traces for o in t}
-
-
-def test_optimizer_options_need_a_grid_of_three_points():
-    assert bg.OptimizerOptions(coarse_points=3).coarse_points == 3
-    for points in (2, 0):
-        with pytest.raises(ValueError, match="coarse_points must be >= 3"):
-            bg.OptimizerOptions(coarse_points=points)
 
 
 def test_lockstep_line_max_finds_a_smooth_peak():

@@ -19,6 +19,12 @@ def test_presets():
         bg.MeasureConfig(n2=0.0)
 
 
+@pytest.mark.parametrize("n2", [math.inf, math.nan])
+def test_measure_config_needs_a_finite_positive_n2(n2):
+    with pytest.raises(ValueError, match="n2 must be"):
+        bg.MeasureConfig(n2=n2)
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])
 def test_gamma_vanishes_on_product_states(dims, seed):

@@ -17,6 +17,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -44,8 +45,8 @@ from .statefile import StateFileError, load_local_unitary, load_state
 SEPARABLE_FLAG = "separable-by-gamma-criterion"
 SEPARABLE_TOL = 1e-12
 #: Density input only: some restart of the supremum search stopped at its
-#: sweep cap, so ``gamma_sup`` is a lower bound that may move with the input
-#: in its last digits.
+#: sweep cap.  Flagged or not, a density ``gamma_sup`` is the best value a
+#: local search found, and it can sit percent-level below the supremum.
 NOT_CONVERGED_FLAG = "sup-not-converged"
 
 #: Fixed column order of the measure report (documented in the README).
@@ -119,6 +120,18 @@ def _seed(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
+def _threshold(text: str) -> float:
+    """A --threshold value: ``worst < threshold`` is only meaningful for a
+    finite, non-negative bound."""
+    try:
+        value = float(text)
+        if math.isfinite(value) and value >= 0.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
 
 
 def _add_state(parser: argparse.ArgumentParser) -> None:
@@ -344,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--trials", type=int, default=50)
     p_conj.add_argument(
         "--threshold",
-        type=float,
+        type=_threshold,
         default=1e-4,
-        help="max allowed |best - i_concurrence| for exit code 0",
+        help="max allowed |best - i_concurrence| for exit code 0 (finite, >= 0)",
     )
     # the comparison against I-concurrence presumes the matched normalization
     _add_n2(p_conj, default_preset="concurrence-matched")

@@ -176,8 +176,8 @@ def level_pairs(d: int) -> tuple[tuple[int, int], ...]:
     lexicographic order.
 
     The one index set behind the measure (its quadruples), the phase
-    operators (one phase per pair) and the unitary chart (one plane
-    rotation per pair).
+    operators (one phase per pair) and the lines of the supremum search
+    (two one-parameter subgroups per pair).
     """
     return tuple((k, l) for k in range(1, d) for l in range(k + 1, d + 1))
 

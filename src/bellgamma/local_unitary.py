@@ -4,27 +4,29 @@ Contains the parameterized 2x2 and 3x3 rotations used by the qubit-qutrit
 zeroing construction, a closed-form transformation driving amp[0,0] and
 amp[1,2] to zero for 2x3 states, the Schmidt-basis rotation, and a
 derivative-free coordinate-ascent maximizer of gamma over U(m) x U(n).
-The maximizer runs its restarts in lockstep as one batch: parameters are
-(B, m*m) and (B, n*n) arrays.  gamma reads paired coefficients, and for
-each state kind they are one sesquilinear "paired form" of the local
-unitary.  Along one chart coordinate t the moving factor is exactly
-A0 + A1 cos t + A2 sin t, so each coefficient is a fixed combination of
-1, cos t, sin t, cos^2 t, cos t sin t and sin^2 t: a coordinate line is set
-up once from three unitaries, and each probe of its search is one small
-product per restart, with no unitary or rotated state built per probe.
-A line's search is one scan of a periodic grid followed by a few successive
-parabolic-interpolation steps, each step one probe per restart.
+The maximizer runs its restarts in lockstep as one batch.  gamma reads
+paired coefficients, and for each state kind they are one sesquilinear
+"paired form" of the local unitary.  A line of the search moves one factor
+along a one-parameter subgroup exp(tX), X = E_ab - E_ba or i(E_ab + E_ba)
+for a level pair a<b, applied to the restart's current rotated state.
+exp(tX) = A0 + A1 cos t + A2 sin t with constant anchors, so each
+coefficient is a fixed combination of 1, cos t, sin t, cos^2 t, cos t sin t
+and sin^2 t: a line is set up by one form call, and each probe of its
+search is one small product per restart, with no unitary or rotated state
+built per probe.  A line's search is one scan of a periodic grid followed
+by a few successive parabolic-interpolation steps, each step one probe per
+restart.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .linalg import BipartiteDims, as_complex_matrix, kron, level_pairs, matrices_close
+from .linalg import BipartiteDims, as_complex_matrix, kron, level_pairs
 from .measures import (
     CONCURRENCE_MATCHED,
     MeasureConfig,
@@ -33,13 +35,31 @@ from .measures import (
     gamma_schmidt,
     i_concurrence,
 )
-from .states import DensityOperator, PureState, haar_unitary, random_pure, schmidt
+from .states import (
+    DensityOperator,
+    PureState,
+    _complex_gaussian,
+    _haar_from_gaussian,
+    haar_unitary,
+    random_pure,
+    schmidt,
+)
 
 UNITARY_TOL = 1e-10
 
 #: An optimizer result above the Schmidt benchmark by more than this margin
 #: counts as an overshoot (reported, never clipped).
 OVERSHOOT_MARGIN = 1e-9
+
+
+def _check_unitary(name: str, u: np.ndarray) -> None:
+    """Raise ValueError unless every (d, d) matrix of ``u`` is finite and
+    unitary within ``UNITARY_TOL``."""
+    if not np.isfinite(u).all():
+        raise ValueError(f"{name} entries must be finite")
+    gram = u.conj().swapaxes(-1, -2) @ u
+    if not np.max(np.abs(gram - np.eye(u.shape[-1])), initial=0.0) <= UNITARY_TOL:
+        raise ValueError(f"{name} is not unitary within {UNITARY_TOL}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +75,7 @@ class LocalUnitary:
             d = mat.shape[0]
             if mat.shape != (d, d):
                 raise ValueError(f"{name} must be square, got {mat.shape}")
-            if not np.isfinite(mat).all():
-                raise ValueError(f"{name} entries must be finite")
-            if not matrices_close(mat.conj().T @ mat, np.eye(d), tol=UNITARY_TOL):
-                raise ValueError(f"{name} is not unitary within {UNITARY_TOL}")
+            _check_unitary(name, mat)
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
 
@@ -173,52 +190,6 @@ def schmidt_rotation(psi: PureState) -> tuple[PureState, LocalUnitary]:
 
 
 # --------------------------------------------------------------------------
-# Parameterization of U(d): plane rotations plus diagonal phases.
-
-
-def unitary_from_flat(d: int, x: np.ndarray) -> np.ndarray:
-    """Materialize d x d unitaries from d*d real parameters each.
-
-    ``x`` has shape (..., d*d): any leading batch axes carry over to the
-    (..., d, d) result, and every unitary of a batch is built by the same
-    operations as it would be alone.
-
-    Layout: (theta, phi) per level pair k<l in the order of
-    ``linalg.level_pairs`` (d*(d-1) values, pair-major), then d diagonal
-    phases.  The result is the product of the plane rotations
-    applied to the diagonal phase matrix; it is unitary for every parameter
-    value, and the chart reaches all of U(d) (triangular elimination by
-    complex plane rotations).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != d * d:
-        raise ValueError(
-            f"expected {d * d} parameters for U({d}), got shape {x.shape}"
-        )
-    rows = x.reshape(-1, d * d)
-    count, pairs = len(rows), level_pairs(d)
-    rot = 2 * len(pairs)
-    # Every parameter enters through e^(i x): a rotation angle by its real
-    # and imaginary parts (cos, sin), a phase as it is.
-    z = np.exp(1j * rows)
-    c, s, e = z.real[:, 0:rot:2], z.imag[:, 0:rot:2], z[:, 1:rot:2]
-    u = np.zeros((count, d * d), dtype=complex)
-    u[:, :: d + 1] = z[:, rot:]
-    u = u.reshape(count, d, d)
-    # Pair (k, l) maps rows (r_i, r_j), 0-based i = k-1 and j = l-1, to
-    # (c r_i - e s r_j, conj(e) s r_i + c r_j); coef[:, 0] holds each pair's
-    # two coefficients of r_i, coef[:, 1] of r_j.
-    coef = np.concatenate([c, np.conj(e) * s, -(e * s), c], axis=1)
-    coef = coef.reshape(count, 2, 2, len(pairs), 1)
-    for idx, (k, l) in enumerate(pairs):
-        i, j = k - 1, l - 1
-        # the slice i:j+1:j-i selects rows i and j
-        u[:, i:j + 1:j - i] = (coef[:, 0, :, idx] * u[:, i, None]
-                               + coef[:, 1, :, idx] * u[:, j, None])
-    return u.reshape(*x.shape[:-1], d, d)
-
-
-# --------------------------------------------------------------------------
 # Derivative-free maximization of gamma over the local-unitary orbit.
 
 
@@ -227,16 +198,17 @@ class OptimizerOptions:
     """Budget for :func:`maximize_gamma`.
 
     The objective is smooth except for absolute-value kinks where paired
-    coefficients tie, so the search is gradient-free: coordinate-wise line
-    maximization, swept until a full sweep improves by at most
-    ``_SWEEP_TOL`` (1e-9).  Along one chart coordinate t every paired
-    coefficient is a fixed combination of 1, cos t, sin t, cos^2 t,
-    cos t sin t and sin^2 t, so each line is set up once and every probe
-    evaluates that trigonometric form.  A line is scanned on a uniform
-    periodic grid of ``_GRID_POINTS`` (32) points, one of them the current
-    value, and its best cell refined by ``_PARABOLIC_STEPS`` successive
-    parabolic-interpolation steps.  All ``restarts`` run in lockstep as one
-    batch; each leaves it on its own convergence test or at ``max_sweeps``.
+    coefficients vanish, so the search is gradient-free: line maximization
+    along one-parameter subgroups exp(tX) of each factor, X = E_ab - E_ba
+    and i(E_ab + E_ba) for every level pair a<b, each applied to the
+    restart's current rotated state.  A diagonal phase changes only the
+    phases of the paired coefficients, which gamma ignores, so a sweep has
+    m(m-1) + n(n-1) lines.  Sweeps repeat until one improves by at most
+    ``_SWEEP_TOL`` (1e-9).  A line is scanned on a uniform periodic grid of
+    ``_GRID_POINTS`` (32) points, one of them the current value, and its
+    best cell refined by ``_PARABOLIC_STEPS`` successive parabolic-
+    interpolation steps.  All ``restarts`` run in lockstep as one batch;
+    each leaves it on its own convergence test or at ``max_sweeps``.
     ``seed`` draws the random restarts; ``include_schmidt`` makes the second
     restart of a pure input start at its Schmidt rotation.
     """
@@ -326,13 +298,26 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., :, None, :] * y.swapaxes(-1, -2)[..., None, :, :]).sum(axis=-1)
 
 
+def _amp_rotate(amp: np.ndarray, ua, ub) -> np.ndarray:
+    """ua @ amp @ ub.T: the amplitudes of the state rotated by (ua, ub)."""
+    return _matmul(_matmul(ua, amp), ub.swapaxes(-1, -2))
+
+
+def _dense_rotate(mat: np.ndarray, ua, ub) -> np.ndarray:
+    """W mat W^H with W = kron(ua, ub) per row."""
+    w = ua[..., :, None, :, None] * ub[..., None, :, None, :]
+    size = w.shape[-1] * w.shape[-2]
+    w = w.reshape(*w.shape[:-4], size, size)
+    return _matmul(_matmul(w, mat), w.conj().swapaxes(-1, -2))
+
+
 def _amp_form(amp: np.ndarray, xa, xb, ya, yb, dims: BipartiteDims) -> np.ndarray:
     """amp_x[left] * conj(amp_y[right]) with amp_x = xa @ amp @ xb.T and
     amp_y = ya @ amp @ yb.T, over the flattened (m, n) amplitudes."""
     left, right = _paired_positions(dims.m, dims.n)
 
     def rotate(ua, ub):
-        out = _matmul(_matmul(ua, amp), ub.swapaxes(-1, -2))
+        out = _amp_rotate(amp, ua, ub)
         return out.reshape(*out.shape[:-2], dims.size)
 
     return rotate(xa, xb).take(left, axis=-1) * rotate(ya, yb).take(right, axis=-1).conj()
@@ -358,33 +343,43 @@ def _form_gamma(form, start: np.ndarray, ua: np.ndarray, ub: np.ndarray,
     return _gamma_of_pairs(form(start, ua, ub, ua, ub), n2)
 
 
-#: Chart-coordinate values at which U(t) = A0 + A1 cos t + A2 sin t is read.
-_ANCHOR_ANGLES = np.array([0.0, math.pi / 2.0, math.pi])
+@lru_cache(maxsize=None)
+def _generator_anchors(d: int) -> np.ndarray:
+    """Anchors of the off-diagonal one-parameter subgroups of U(d).
+
+    For each level pair a<b in ``linalg.level_pairs`` order, X = E_ab - E_ba
+    and then X = i(E_ab + E_ba).  Both square to -P_ab, the projector onto
+    levels a and b, so exp(tX) = A0 + A1 cos t + A2 sin t with A0 = I - P_ab,
+    A1 = P_ab and A2 = X.  Returns a read-only (d(d-1), 3, d, d) array.
+    """
+    anchors = np.zeros((d * (d - 1), 3, d, d), dtype=complex)
+    for idx, (k, l) in enumerate(level_pairs(d)):
+        a, b = k - 1, l - 1
+        for g, (upper, lower) in zip(anchors[2 * idx:2 * idx + 2], ((1, -1), (1j, 1j))):
+            g[0] = np.eye(d)
+            g[0, a, a] = g[0, b, b] = 0.0
+            g[1, a, a] = g[1, b, b] = 1.0
+            g[2, a, b], g[2, b, a] = upper, lower
+    anchors.setflags(write=False)
+    return anchors
 
 
-def _coordinate_line(form, start: np.ndarray, pair: list, side: int,
-                     x: np.ndarray, ci: int, n2: float):
-    """Gamma along chart coordinate ``ci`` of factor ``side`` (0 for u_a,
-    1 for u_b), as a function of that coordinate for every row of ``start``.
+def _coordinate_line(form, state: np.ndarray, eyes: list, side: int,
+                    anchors: np.ndarray, n2: float):
+    """Gamma of every row of ``state`` after exp(tX) acts on factor ``side``
+    (0 for u_a, 1 for u_b), as a function of t.
 
-    ``pair`` holds the current (ua, ub) and ``x`` the chart parameters of
-    factor ``side``.  Each parameter enters ``unitary_from_flat`` once,
-    through e^(it), so the factor is U(t) = A0 + A1 cos t + A2 sin t,
-    read off U at 0, pi/2 and pi.  The paired form is linear in U and
-    conjugate-linear in U again, so every coefficient is the fixed
-    combination sum_jk form(A_j, A_k) g_j g_k with g = (1, cos t, sin t).
-    The returned function maps probes of shape (..., R) to gamma with one
+    ``anchors`` holds (A0, A1, A2) of exp(tX) and ``eyes`` the identity of
+    each factor.  The paired form is linear in the moving factor and
+    conjugate-linear in it again, so every coefficient is the fixed
+    combination sum_jk form(A_j, A_k) g_j g_k with g = (1, cos t, sin t),
+    read off one form call with the other factor the identity.  The
+    returned function maps probes of shape (..., R) to gamma with one
     (..., 5) @ (5, 2Q) product per row.
     """
-    d = pair[side].shape[-1]
-    trial = np.repeat(x[None], 3, axis=0)
-    trial[..., ci] = _ANCHOR_ANGLES[:, None]
-    u0, u90, u180 = unitary_from_flat(d, trial)
-    a0 = (u0 + u180) / 2.0
-    anchors = np.stack([a0, (u0 - u180) / 2.0, u90 - a0])
-    first, second = list(pair), list(pair)
-    first[side], second[side] = anchors[:, None], anchors[None]
-    g = form(start, *first, *second)  # g[j, k] = form(A_j, A_k), (3, 3, R, 2Q)
+    first, second = list(eyes), list(eyes)
+    first[side], second[side] = anchors[:, None, None], anchors[None, :, None]
+    g = form(state, *first, *second)  # g[j, k] = form(A_j, A_k), (3, 3, R, 2Q)
     constant = g[0, 0]
     # cos t, sin t, cos^2 t, cos t sin t, sin^2 t; the complex coefficients
     # are read as interleaved (real, imag) pairs, so the product is real.
@@ -405,26 +400,28 @@ def _coordinate_line(form, start: np.ndarray, pair: list, side: int,
     return along
 
 
-def _lockstep_ascent(form, starts: np.ndarray, m: int, n: int, n2: float,
+def _lockstep_ascent(form, rotate, source: np.ndarray, bases: tuple, n2: float,
                      opts: OptimizerOptions):
-    """Coordinate ascent over the U(m) x U(n) chart, one restart per start.
+    """Coordinate ascent over U(m) x U(n), one restart per base point.
 
-    ``starts`` stacks the input rotated to each restart's base point, and
-    ``form`` is its paired form (see ``_amp_form``).  All restarts begin at
-    the identity of the chart and sweep in lockstep.  Each coordinate line
-    is set up once from three unitaries per row (``_coordinate_line``) and
-    maximized by ``_lockstep_line_max``: a periodic grid scan and a few
-    parabolic steps, every probe evaluated from that trigonometric form, so
-    no probe builds a unitary or a rotated state.  A sweep's value is the
-    objective itself at the unitaries the sweep ends with; a restart leaves
-    the batch once a full sweep improves that value by at most
-    ``_SWEEP_TOL``.  Returns per-restart arrays (value, ua, ub, sweeps,
-    converged).
+    ``source`` is the input (amplitudes or density matrix), ``rotate`` maps
+    it and a pair of unitaries to the rotated state, and ``form`` is the
+    paired form of a state (see ``_amp_form``).  ``bases`` stacks each
+    restart's (u_a, u_b).  A sweep runs one line per off-diagonal generator
+    of each factor (``_generator_anchors``): the line is set up on the
+    restart's current rotated state (``_coordinate_line``) and maximized by
+    ``_lockstep_line_max``, and the state and the factor are then rotated by
+    the accepted exp(tX).  At a sweep's end the state and the value are read
+    again from ``source`` at the accumulated unitaries, so rounding cannot
+    build up; a restart leaves the batch once a full sweep improves that
+    value by at most ``_SWEEP_TOL``.  Returns per-restart arrays (value, ua,
+    ub, sweeps, converged).
     """
-    count = len(starts)
-    xs = [np.zeros((count, m * m)), np.zeros((count, n * n))]
-    us = [unitary_from_flat(m, xs[0]), unitary_from_flat(n, xs[1])]
-    f = _form_gamma(form, starts, *us, n2)
+    us = [u.copy() for u in bases]
+    eyes = [np.eye(u.shape[-1], dtype=complex) for u in us]
+    states = rotate(source, *us)
+    f = _form_gamma(form, states, *eyes, n2)
+    count = len(f)
     sweeps = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)
@@ -432,21 +429,24 @@ def _lockstep_ascent(form, starts: np.ndarray, m: int, n: int, n2: float,
         if active.size == 0:
             break
         sweeps[active] += 1
-        start = starts[active]
+        state = states[active]
         f_start = f[active]
         f_act = f_start
         pair = [u[active] for u in us]
-        for side, d in enumerate((m, n)):
-            x = xs[side][active]
-            for ci in range(d * d):
-                line = _coordinate_line(form, start, pair, side, x, ci, n2)
-                x[:, ci], f_act = _lockstep_line_max(
-                    line, x[:, ci], f_act, _GRID_POINTS
-                )
-            pair[side] = unitary_from_flat(d, x)
-            xs[side][active] = x
-            us[side][active] = pair[side]
-        f_act = _form_gamma(form, start, *pair, n2)
+        at_zero = np.zeros(active.size)
+        for side, eye in enumerate(eyes):
+            for anchors in _generator_anchors(len(eye)):
+                line = _coordinate_line(form, state, eyes, side, anchors, n2)
+                t, f_act = _lockstep_line_max(line, at_zero, f_act, _GRID_POINTS)
+                step = list(eyes)
+                step[side] = (anchors[0] + anchors[1] * np.cos(t)[:, None, None]
+                              + anchors[2] * np.sin(t)[:, None, None])
+                state = rotate(state, *step)
+                pair[side] = _matmul(step[side], pair[side])
+        for u, p in zip(us, pair):
+            u[active] = p
+        states[active] = state = rotate(source, *pair)
+        f_act = _form_gamma(form, state, *eyes, n2)
         f[active] = f_act
         done = f_act - f_start <= _SWEEP_TOL
         converged[active[done]] = True
@@ -455,27 +455,29 @@ def _lockstep_ascent(form, starts: np.ndarray, m: int, n: int, n2: float,
 
 
 def _restart_batch(state: PureState | DensityOperator, opts: OptimizerOptions):
-    """Base points of the restarts, the state rotated to each base point as
-    one stacked array, and the paired form over that array."""
+    """Base points of the restarts as one (u_a, u_b) pair of stacks, the
+    input array, and the paired form and rotation of its kind.
+
+    Restart i >= 2 (>= 1 without a Schmidt restart) draws its Haar factors
+    from ``default_rng([seed, i])`` exactly as ``random_local_unitary``
+    does, and each side's draws share one QR.
+    """
     dims = state.dims
-    bases: list[tuple[np.ndarray, np.ndarray]] = [
-        (np.eye(dims.m, dtype=complex), np.eye(dims.n, dtype=complex))
-    ]
+    fixed = [(np.eye(dims.m, dtype=complex), np.eye(dims.n, dtype=complex))]
     if isinstance(state, PureState) and opts.include_schmidt and opts.restarts > 1:
         _, rot = schmidt_rotation(state)
-        bases.append((rot.u_a, rot.u_b))
-    while len(bases) < opts.restarts:
-        u = random_local_unitary(dims, [opts.seed, len(bases)])
-        bases.append((u.u_a, u.u_b))
-
+        fixed.append((rot.u_a, rot.u_b))
+    rngs = [np.random.default_rng([opts.seed, i]) for i in range(len(fixed), opts.restarts)]
+    draws = [[_complex_gaussian(rng, (d, d)) for d in (dims.m, dims.n)] for rng in rngs]
+    bases = []
+    for side, d in enumerate((dims.m, dims.n)):
+        gauss = np.array([draw[side] for draw in draws]).reshape(-1, d, d)
+        stack = np.concatenate([np.array([f[side] for f in fixed]), _haar_from_gaussian(gauss)])
+        _check_unitary(("u_a", "u_b")[side], stack)
+        bases.append(stack)
     if isinstance(state, PureState):
-        start = np.array([ba @ state.amp @ bb.T for ba, bb in bases])
-        form = _amp_form
-    else:
-        joint = [kron(ba, bb) for ba, bb in bases]
-        start = np.array([w @ state.mat @ w.conj().T for w in joint])
-        form = _dense_form
-    return bases, start, partial(form, dims=dims)
+        return tuple(bases), state.amp, partial(_amp_form, dims=dims), _amp_rotate
+    return tuple(bases), state.mat, partial(_dense_form, dims=dims), _dense_rotate
 
 
 def maximize_gamma(
@@ -487,28 +489,25 @@ def maximize_gamma(
 
     Restart base points are the identity, the Schmidt rotation (pure inputs;
     the analytic supremum candidate is therefore always reachable) and Haar
-    random local unitaries; each restart runs coordinate ascent in the
-    plane-rotation chart composed with its base point.  The restarts run in
-    lockstep as one batch, so each coordinate probe is one array evaluation
-    over every restart still sweeping; a restart follows the same path as it
-    would alone.  The first restart with the largest value wins.
-    Deterministic given ``opts.seed``.  Values above the Schmidt benchmark
-    are reported as found, never clipped.
+    random local unitaries; each restart sweeps one-parameter subgroups
+    applied to its current rotated state.  The restarts run in lockstep as
+    one batch, so each line probe is one array evaluation over every restart
+    still sweeping; a restart follows the same path as it would alone.  The
+    first restart with the largest value wins.  Deterministic given
+    ``opts.seed``.  Values above the Schmidt benchmark are reported as
+    found, never clipped.
     """
     opts = opts or OptimizerOptions()
     schmidt_val = gamma_schmidt(state, cfg) if isinstance(state, PureState) else None
-    bases, start, form = _restart_batch(state, opts)
-    f, ua, ub, sweeps, converged = _lockstep_ascent(
-        form, start, state.dims.m, state.dims.n, cfg.n2, opts
-    )
+    bases, source, form, rotate = _restart_batch(state, opts)
+    f, ua, ub, sweeps, converged = _lockstep_ascent(form, rotate, source, bases, cfg.n2, opts)
     best = int(np.argmax(f))
-    base_a, base_b = bases[best]
     return SupremumReport(
         best_gamma=float(f[best]),
-        best_unitary=LocalUnitary(ua[best] @ base_a, ub[best] @ base_b),
+        best_unitary=LocalUnitary(ua[best], ub[best]),
         schmidt_gamma=schmidt_val,
         iterations=int(sweeps.sum()),
-        restarts=len(bases),
+        restarts=len(f),
         converged=bool(converged.all()),
     )
 

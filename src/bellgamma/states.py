@@ -202,11 +202,15 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     The R diagonal is phase-fixed so the distribution is exactly Haar rather
     than merely column-orthonormal.
     """
-    z = _complex_gaussian(rng, (d, d))
+    return _haar_from_gaussian(_complex_gaussian(rng, (d, d)))
+
+
+def _haar_from_gaussian(z: np.ndarray) -> np.ndarray:
+    """Phase-fixed Q factor of each (d, d) complex Gaussian matrix of ``z``."""
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_pure(dims: BipartiteDims, seed) -> PureState:

@@ -576,6 +576,26 @@ def test_negative_seed_exits_2_naming_the_flag(capsys, tmp_path, bell_file, comm
     )
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-4", "1e-4x"])
+def test_conjecture_rejects_a_non_finite_or_negative_threshold(capsys, value):
+    # worst < nan is always false, so a NaN bound used to fail every run
+    # with no error line, and a negative bound could never be met.
+    argv = ["conjecture", "--dims", "2x2", "--trials", "1", f"--threshold={value}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(
+        f"error: argument --threshold: expected a finite non-negative number, got '{value}'\n"
+    )
+
+
+def test_conjecture_accepts_a_zero_threshold_and_then_fails(capsys):
+    argv = ["conjecture", "--dims", "2x2", "--trials", "1", "--threshold", "0", "--threads", "1"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 1 and len(_parse_csv(out)) == 1
+
+
 @pytest.mark.parametrize("command", [
     ["measure", "STATE"],
     ["povm-check", "STATE"],

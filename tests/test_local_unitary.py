@@ -13,10 +13,11 @@ from bellgamma.local_unitary import (
     SWEEP_OPTS,
     _coordinate_line,
     _form_gamma,
+    _generator_anchors,
     _lockstep_ascent,
     _lockstep_line_max,
+    _matmul,
     _restart_batch,
-    unitary_from_flat,
 )
 
 QUICK_OPTS = bg.OptimizerOptions(restarts=3, max_sweeps=12)
@@ -100,57 +101,31 @@ def test_rotation_blocks_are_unitary(theta, phi):
         assert bg.matrices_close(u.conj().T @ u, np.eye(d))
 
 
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4))
-def test_unitary_chart_always_unitary(seed, d):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-2 * np.pi, 2 * np.pi, d * d)
-    u = unitary_from_flat(d, x)
-    assert bg.matrices_close(u.conj().T @ u, np.eye(d))
-
-
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), batch=st.integers(1, 8))
-def test_unitary_chart_batch_matches_rows(seed, d, batch):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-2 * np.pi, 2 * np.pi, (batch, d * d))
-    us = unitary_from_flat(d, x)
-    assert us.shape == (batch, d, d)
-    for row, u in zip(x, us):
-        assert np.array_equal(u, unitary_from_flat(d, row))
-        assert bg.matrices_close(u.conj().T @ u, np.eye(d))
-    stacked = unitary_from_flat(d, np.stack([x, x[::-1]]))
-    assert stacked.shape == (2, batch, d, d)
-    assert np.array_equal(stacked[0], us) and np.array_equal(stacked[1], us[::-1])
-
-
-def test_unitary_chart_identity_at_zero():
-    for d in (2, 3, 4):
-        assert bg.matrices_close(unitary_from_flat(d, np.zeros(d * d)), np.eye(d))
-        batch = unitary_from_flat(d, np.zeros((3, d * d)))
-        assert all(bg.matrices_close(u, np.eye(d)) for u in batch)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_unitary_chart_is_plane_rotations_over_level_pairs(d):
-    # One rotation G per level pair k<l, in linalg.level_pairs order, each
-    # applied from the left to the diagonal phase matrix.
-    x = np.random.default_rng(d).uniform(-np.pi, np.pi, d * d)
-    u = np.diag(np.exp(1j * x[d * (d - 1):]))
-    for idx, (k, l) in enumerate(bg.level_pairs(d)):
-        i, j = k - 1, l - 1
-        c, s, e = math.cos(x[2 * idx]), math.sin(x[2 * idx]), np.exp(1j * x[2 * idx + 1])
-        g = np.eye(d, dtype=complex)
-        g[i, i], g[i, j], g[j, i], g[j, j] = c, -e * s, np.conj(e) * s, c
-        u = g @ u
-    assert bg.matrices_close(unitary_from_flat(d, x), u, tol=1e-12)
+def test_generators_and_diagonal_phases_span_the_unitary_algebra(d):
+    # Each line moves along exp(tX) for an off-diagonal generator X; with
+    # the d diagonal phases i E_kk they form a real basis of the d*d-dim
+    # space of anti-Hermitian matrices, so every tangent direction is a sum
+    # of line directions and a phase direction.
+    anchors = _generator_anchors(d)
+    assert anchors.shape == (d * (d - 1), 3, d, d)
+    gens = anchors[:, 2]
+    assert np.array_equal(gens.conj().swapaxes(-1, -2), -gens)
+    assert np.array_equal(np.diagonal(gens, axis1=-2, axis2=-1), np.zeros((len(gens), d)))
+    phases = 1j * np.eye(d)[:, :, None] * np.eye(d)
+    basis = np.concatenate([gens, phases]).reshape(d * d, d * d)
+    assert np.linalg.matrix_rank(np.concatenate([basis.real, basis.imag], axis=1)) == d * d
+    # exp(tX) = A0 + A1 cos t + A2 sin t, at t = 0 and t = pi/2
+    for a0, a1, a2 in anchors:
+        assert np.array_equal(a0 + a1, np.eye(d))
+        assert bg.matrices_close(a0 + a2, _exp(a2, np.pi / 2), tol=1e-14)
 
 
-def test_unitary_chart_rejects_wrong_parameter_count():
-    with pytest.raises(ValueError, match="parameters"):
-        unitary_from_flat(3, np.zeros(8))
-    with pytest.raises(ValueError, match="parameters"):
-        unitary_from_flat(2, np.zeros((4, 3)))
-    with pytest.raises(ValueError, match="parameters"):
-        unitary_from_flat(2, 0.0)
+def _exp(x, t):
+    """exp(tX) for anti-Hermitian X, from the eigendecomposition of -iX;
+    ``t`` of any shape gives a (*t.shape, d, d) stack."""
+    w, v = np.linalg.eigh(-1j * x)
+    return (v * np.exp(1j * np.multiply.outer(t, w))[..., None, :]) @ v.conj().T
 
 
 def test_zero_construction_identity_when_already_zero(dims_2x3):
@@ -286,28 +261,34 @@ def _reference_line_max(f1d, x0, f0, points, trace=None):
     return x, fx
 
 
-def _reference_ascent(form, start, m, n, n2, opts):
+def _reference_ascent(form, rotate, source, base, n2, opts):
     """Coordinate ascent of one restart on its own: (value, sweeps, converged).
 
-    ``start`` holds the one restart's rotated state as a batch of one.  Each
+    ``base`` holds the one restart's (u_a, u_b) as batches of one.  Each
     probe goes through the same coordinate line form as the lockstep search,
-    one probe at a time; a sweep's value is the objective at its unitaries.
+    one probe at a time, and the state and the factor move by each accepted
+    rotation through the same products; a sweep's value is the objective
+    read from ``source`` at its unitaries.
     """
-    xs = [np.zeros((1, m * m)), np.zeros((1, n * n))]
-    us = [unitary_from_flat(m, xs[0]), unitary_from_flat(n, xs[1])]
-    f = float(_form_gamma(form, start, *us, n2)[0])
+    us = list(base)
+    eyes = [np.eye(u.shape[-1], dtype=complex) for u in us]
+    state = rotate(source, *us)
+    f = float(_form_gamma(form, state, *eyes, n2)[0])
     for sweep in range(1, opts.max_sweeps + 1):
         f_start = f
-        for side, d in enumerate((m, n)):
-            x = xs[side]
-            for ci in range(d * d):
-                line = _coordinate_line(form, start, us, side, x, ci, n2)
-                x[0, ci], f = _reference_line_max(
-                    lambda t: float(line(np.array([t]))[0]),
-                    x[0, ci], f, _GRID_POINTS,
+        for side, eye in enumerate(eyes):
+            for anchors in _generator_anchors(len(eye)):
+                line = _coordinate_line(form, state, eyes, side, anchors, n2)
+                t, f = _reference_line_max(
+                    lambda t: float(line(np.array([t]))[0]), 0.0, f, _GRID_POINTS,
                 )
-            us[side] = unitary_from_flat(d, x)
-        f = float(_form_gamma(form, start, *us, n2)[0])
+                step = list(eyes)
+                at = np.full((1, 1, 1), t)
+                step[side] = anchors[0] + anchors[1] * np.cos(at) + anchors[2] * np.sin(at)
+                state = rotate(state, *step)
+                us[side] = _matmul(step[side], us[side])
+        state = rotate(source, *us)
+        f = float(_form_gamma(form, state, *eyes, n2)[0])
         if f - f_start <= _SWEEP_TOL:
             return f, sweep, True
     return f, opts.max_sweeps, False
@@ -355,7 +336,7 @@ def test_lockstep_line_max_finds_a_smooth_peak():
 BATCH_CASES = {
     "pure-2x3": (bg.random_pure(bg.BipartiteDims(2, 3), 31), 3),
     "pure-3x3": (bg.random_pure(bg.BipartiteDims(3, 3), 32), 2),
-    "density-2x3": (bg.random_density(bg.BipartiteDims(2, 3), 33), 2),
+    "density-2x3": (bg.random_density(bg.BipartiteDims(2, 3), 33), 7),
 }
 
 
@@ -363,20 +344,19 @@ BATCH_CASES = {
 def test_lockstep_restarts_match_restarts_run_alone(case):
     state, max_sweeps = BATCH_CASES[case]
     opts = bg.OptimizerOptions(restarts=8, max_sweeps=max_sweeps, seed=4)
-    _, start, form = _restart_batch(state, opts)
-    m, n, n2 = state.dims.m, state.dims.n, bg.CONCURRENCE_MATCHED.n2
-    f, ua, ub, sweeps, converged = _lockstep_ascent(form, start, m, n, n2, opts)
+    bases, source, form, rotate = _restart_batch(state, opts)
+    n2 = bg.CONCURRENCE_MATCHED.n2
+    f, ua, ub, sweeps, converged = _lockstep_ascent(form, rotate, source, bases, n2, opts)
     assert len(f) == 8
     for i in range(8):
+        base = tuple(u[i:i + 1] for u in bases)
         f1, ua1, ub1, sweeps1, converged1 = _lockstep_ascent(
-            form, start[i:i + 1], m, n, n2, opts
+            form, rotate, source, base, n2, opts
         )
         assert abs(f1[0] - f[i]) <= 1e-12
         assert (sweeps1[0], converged1[0]) == (sweeps[i], converged[i])
         assert bg.matrices_close(ua1[0], ua[i]) and bg.matrices_close(ub1[0], ub[i])
-        f_ref, sweeps_ref, converged_ref = _reference_ascent(
-            form, start[i:i + 1], m, n, n2, opts
-        )
+        f_ref, sweeps_ref, converged_ref = _reference_ascent(form, rotate, source, base, n2, opts)
         assert abs(f_ref - f[i]) <= 1e-12
         assert (sweeps_ref, converged_ref) == (sweeps[i], converged[i])
 
@@ -397,20 +377,20 @@ def _random_state(kind, dims, seed):
 def test_coordinate_line_equals_the_objective_at_the_moved_unitary(kind, dims):
     m, n = dims
     state = _random_state(kind, bg.BipartiteDims(m, n), 10 * m + n)
-    _, start, form = _restart_batch(state, bg.OptimizerOptions(restarts=3, seed=5))
+    _, source, form, rotate = _restart_batch(state, bg.OptimizerOptions(restarts=3))
     n2 = bg.CONCURRENCE_MATCHED.n2
     rng = np.random.default_rng(m * n)
-    xs = [rng.uniform(-np.pi, np.pi, (3, m * m)), rng.uniform(-np.pi, np.pi, (3, n * n))]
-    pair = [unitary_from_flat(m, xs[0]), unitary_from_flat(n, xs[1])]
+    # three rows, each the input in its own random frame
+    frames = [bg.random_local_unitary(state.dims, [m * n, r]) for r in range(3)]
+    current = rotate(source, np.array([u.u_a for u in frames]), np.array([u.u_b for u in frames]))
+    eyes = [np.eye(m, dtype=complex), np.eye(n, dtype=complex)]
     for side, d in enumerate((m, n)):
-        for ci in range(d * d):
+        for anchors in _generator_anchors(d):
             t = rng.uniform(-4 * np.pi, 4 * np.pi, (5, 3))
-            along = _coordinate_line(form, start, pair, side, xs[side], ci, n2)(t)
-            trial = np.repeat(xs[side][None], len(t), axis=0)
-            trial[..., ci] = t
-            moved = list(pair)
-            moved[side] = unitary_from_flat(d, trial)
-            direct = _form_gamma(form, start, *moved, n2)
+            along = _coordinate_line(form, current, eyes, side, anchors, n2)(t)
+            moved = list(eyes)
+            moved[side] = _exp(anchors[2], t)
+            direct = _form_gamma(form, current, *moved, n2)
             assert along.shape == t.shape
             assert np.max(np.abs(along - direct)) <= 1e-13
 
@@ -420,16 +400,51 @@ def test_coordinate_line_equals_the_objective_at_the_moved_unitary(kind, dims):
 def test_objective_is_gamma_of_the_rotated_state(kind, dims):
     d = bg.BipartiteDims(*dims)
     state = _random_state(kind, d, 3)
-    bases, start, form = _restart_batch(state, bg.OptimizerOptions(restarts=4, seed=1))
+    bases, source, form, rotate = _restart_batch(state, bg.OptimizerOptions(restarts=4, seed=1))
     u = bg.random_local_unitary(d, 2)
-    got = _form_gamma(form, start, u.u_a, u.u_b, bg.PAPER_2X3.n2)
-    for (ba, bb), value in zip(bases, got):
+    got = _form_gamma(form, rotate(source, *bases), u.u_a, u.u_b, bg.PAPER_2X3.n2)
+    for ba, bb, value in zip(*bases, got):
         moved = bg.LocalUnitary(u.u_a @ ba, u.u_b @ bb)
         if kind == "pure":
             want = bg.gamma_pure(bg.apply_local(state, moved), bg.PAPER_2X3).total
         else:
             want = bg.gamma(bg.apply_local_density(state, moved), bg.PAPER_2X3).total
         assert abs(value - want) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize("dims", ["2x3", "3x3", "4x2"])
+def test_restart_bases_are_the_seeded_haar_draws(kind, dims):
+    d = bg.BipartiteDims.parse(dims)
+    for seed in range(4):
+        state = _random_state(kind, d, seed)
+        (ua, ub), _, _, _ = _restart_batch(state, bg.OptimizerOptions(seed=seed))
+        assert ua.shape == (8, d.m, d.m) and ub.shape == (8, d.n, d.n)
+        assert np.array_equal(ua[0], np.eye(d.m)) and np.array_equal(ub[0], np.eye(d.n))
+        first = 1
+        if kind == "pure":
+            _, rot = bg.schmidt_rotation(state)
+            assert np.array_equal(ua[1], rot.u_a) and np.array_equal(ub[1], rot.u_b)
+            first = 2
+        for i in range(first, 8):
+            u = bg.random_local_unitary(d, [seed, i])
+            assert np.array_equal(ua[i], u.u_a) and np.array_equal(ub[i], u.u_b)
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize("dims", ["2x2", "2x3", "3x2", "3x3", "3x4"])
+def test_reported_value_is_gamma_at_the_reported_unitary(kind, dims):
+    # Every accepted rotation multiplies into the factors; a long search
+    # must still report gamma at the unitary it returns.
+    state = _random_state(kind, bg.BipartiteDims.parse(dims), 4)
+    cfg = bg.CONCURRENCE_MATCHED
+    report = bg.maximize_gamma(state, cfg, bg.OptimizerOptions(restarts=3, max_sweeps=200))
+    u = report.best_unitary  # LocalUnitary has checked that it is unitary
+    if kind == "pure":
+        reval = bg.gamma_pure(bg.apply_local(state, u), cfg).total
+    else:
+        reval = bg.gamma(bg.apply_local_density(state, u), cfg).total
+    assert abs(reval - report.best_gamma) <= 1e-12
 
 
 def test_maximize_gamma_density_reported_unitary_reproduces_value():

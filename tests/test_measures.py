@@ -113,18 +113,22 @@ def test_gamma_pure_matches_density_route(seed):
     assert abs(direct - via_rho) < 1e-12
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-def test_gamma_pure_invariant_under_diagonal_phases(seed):
-    dims = bg.BipartiteDims(2, 3)
-    psi = bg.random_pure(dims, seed)
-    rng = np.random.default_rng(seed + 1)
+@given(m=st.integers(2, 3), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_gamma_is_invariant_under_local_diagonal_phases(m, n, seed):
+    # D_A (x) D_B multiplies each paired coefficient by a phase, and gamma
+    # reads only moduli; this is why the supremum search has no phase lines.
+    dims = bg.BipartiteDims(m, n)
+    psi, rho = bg.random_pure(dims, seed), bg.random_density(dims, seed)
+    rng = np.random.default_rng([seed, 1])
     u = bg.LocalUnitary(
-        np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2))),
-        np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 3))),
+        np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, m))),
+        np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, n))),
     )
-    before = bg.gamma_pure(psi).total
-    after = bg.gamma_pure(bg.apply_local(psi, u)).total
-    assert abs(before - after) < 1e-12
+    for cfg in (bg.PAPER_2X3, bg.CONCURRENCE_MATCHED):
+        before = bg.gamma_pure(psi, cfg).total
+        assert abs(bg.gamma_pure(bg.apply_local(psi, u), cfg).total - before) <= 1e-13
+        before = bg.gamma(rho, cfg).total
+        assert abs(bg.gamma(bg.apply_local_density(rho, u), cfg).total - before) <= 1e-13
 
 
 def test_i_concurrence_examples(bell_2x3, three_term_2x3):

@@ -355,6 +355,19 @@ def _estimate(
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
+def _plan_targets(state: PureState | DensityOperator,
+                  plan: MeasurementPlan | None) -> tuple[CoefficientTarget, ...]:
+    """The targets of ``plan``, or of the full plan when none is given; no
+    plan is built for that, since only the targets are read."""
+    if plan is None:
+        return _targets(state.dims)
+    if plan.dims != state.dims:
+        raise ValueError(
+            f"plan dims {plan.dims.label()} do not match state dims {state.dims.label()}"
+        )
+    return plan.targets
+
+
 def _check_shots(shots_list) -> None:
     if any(shots is None or shots < 1 for shots in shots_list):
         raise ValueError(f"shots must be >= 1, got {shots_list}")
@@ -383,9 +396,7 @@ def simulate_shots(
     the zeroed positions.  With ``exact=True`` the true probabilities are
     used unsampled (the infinite-shot limit).  Deterministic given ``seed``.
     """
-    # only the targets and the plan's shot count are read, so no plan is
-    # built when none is given
-    targets = plan.targets if plan is not None else _targets(state.dims)
+    targets = _plan_targets(state, plan)
     if shots is None and plan is not None:
         shots = plan.shots_per_projector
     if not exact:
@@ -450,8 +461,7 @@ def shot_error_table(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     _check_shots(shots_list)
-    # only the targets are read, so no plan is built when none is given
-    targets = plan.targets if plan is not None else _targets(state.dims)
+    targets = _plan_targets(state, plan)
     if isinstance(state, PureState):
         truth = gamma(pure_to_density(state), cfg).total
     else:

@@ -22,7 +22,7 @@ import os
 import sys
 
 from .bell import shot_error_table
-from .linalg import BipartiteDims
+from .linalg import BipartiteDims, check_input_dims
 from .local_unitary import (
     OVERSHOOT_MARGIN,
     OptimizerOptions,
@@ -111,15 +111,25 @@ def _config_from_args(args) -> MeasureConfig:
     return MeasureConfig.from_preset(args.n2_preset)
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy seeds its generators from non-negative integers."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _int_at_least(low: int, what: str):
+    """An argparse type accepting integers >= ``low``, described as ``what``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
+
+
+#: numpy seeds its generators from non-negative integers.
+_seed = _int_at_least(0, "a non-negative integer")
+#: a pool needs at least one worker
+_threads = _int_at_least(1, "a positive integer")
 
 
 def _threshold(text: str) -> float:
@@ -232,7 +242,7 @@ def cmd_conjecture(args) -> int:
     cfg = _config_from_args(args)
     dims_list = args.dims or ["2x2", "2x3"]
     for label in dims_list:
-        BipartiteDims.parse(label)  # validate before the long run
+        check_input_dims(BipartiteDims.parse(label))  # validate before the long run
     report = conjecture_sweep(
         dims_list, args.trials, args.seed, cfg, threads=args.threads
     )
@@ -366,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_and_output(p_conj)
     p_conj.add_argument(
         "--threads",
-        type=int,
+        type=_threads,
         default=os.cpu_count() or 1,
-        help="worker threads for independent trials",
+        help="worker threads for independent trials (>= 1; default: CPU count)",
     )
     p_conj.set_defaults(func=cmd_conjecture)
 

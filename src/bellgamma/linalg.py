@@ -52,6 +52,25 @@ class BipartiteDims:
         return cls(m, n)
 
 
+#: Largest subsystem dimension a state file or ``conjecture --dims`` may
+#: name; library calls are not bounded.  The supremum search's largest
+#: temporary holds 3 R 2Q (MN)^2 complex numbers for R restarts and Q level
+#: quadruples: 48 MB at 5x5 with 8 restarts, 224 MB at 6x6 and 15.5 GB at
+#: 10x10.  One sweep of one restart took 0.13 s at 5x5 and 0.8 s at 6x6 (2
+#: cores), so the bound also keeps a density ``measure`` within a minute.
+MAX_INPUT_DIM = 5
+
+
+def check_input_dims(dims: BipartiteDims) -> None:
+    """Raise ValueError unless both subsystem dimensions are at most
+    ``MAX_INPUT_DIM``."""
+    if max(dims.m, dims.n) > MAX_INPUT_DIM:
+        raise ValueError(
+            f"subsystem dimensions must both be at most {MAX_INPUT_DIM}, "
+            f"got {dims.label()}"
+        )
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex128 array (copying, C order)."""
     arr = np.array(a, dtype=np.complex128, order="C")

@@ -4,8 +4,9 @@ Contains the parameterized 2x2 and 3x3 rotations used by the qubit-qutrit
 zeroing construction, a closed-form transformation driving amp[0,0] and
 amp[1,2] to zero for 2x3 states, the Schmidt-basis rotation, and a
 derivative-free coordinate-ascent maximizer of gamma over U(m) x U(n).
-The maximizer runs its restarts in lockstep as one batch.  gamma reads
-paired coefficients, and for each state kind they are one sesquilinear
+The maximizer has one objective, gamma of a density matrix; a pure input
+is searched on its projector |psi><psi|.  It runs its restarts in lockstep
+as one batch.  gamma reads paired coefficients, which are one sesquilinear
 "paired form" of the local unitary.  A line of the search moves one factor
 along a one-parameter subgroup exp(tX), X = E_ab - E_ba or i(E_ab + E_ba)
 for a level pair a<b, applied to the restart's current rotated state.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .states import (
     _complex_gaussian,
     _haar_from_gaussian,
     haar_unitary,
+    pure_to_density,
     random_pure,
     schmidt,
 )
@@ -197,26 +199,25 @@ def schmidt_rotation(psi: PureState) -> tuple[PureState, LocalUnitary]:
 class OptimizerOptions:
     """Budget for :func:`maximize_gamma`.
 
-    The objective is smooth except for absolute-value kinks where paired
-    coefficients vanish, so the search is gradient-free: line maximization
-    along one-parameter subgroups exp(tX) of each factor, X = E_ab - E_ba
-    and i(E_ab + E_ba) for every level pair a<b, each applied to the
-    restart's current rotated state.  A diagonal phase changes only the
-    phases of the paired coefficients, which gamma ignores, so a sweep has
-    m(m-1) + n(n-1) lines.  Sweeps repeat until one improves by at most
-    ``_SWEEP_TOL`` (1e-9).  A line is scanned on a uniform periodic grid of
-    ``_GRID_POINTS`` (32) points, one of them the current value, and its
-    best cell refined by ``_PARABOLIC_STEPS`` successive parabolic-
-    interpolation steps.  All ``restarts`` run in lockstep as one batch;
-    each leaves it on its own convergence test or at ``max_sweeps``.
-    ``seed`` draws the random restarts; ``include_schmidt`` makes the second
-    restart of a pure input start at its Schmidt rotation.
+    The objective is gamma of a density matrix, ``pure_to_density(psi)``
+    for a pure input.  It is smooth except for absolute-value kinks where
+    paired coefficients vanish, so the search is gradient-free: line
+    maximization along one-parameter subgroups exp(tX) of each factor,
+    X = E_ab - E_ba and i(E_ab + E_ba) for every level pair a<b, each
+    applied to the restart's current rotated state.  A diagonal phase
+    changes only the phases of the paired coefficients, which gamma
+    ignores, so a sweep has m(m-1) + n(n-1) lines.  Sweeps repeat until one
+    improves by at most ``_SWEEP_TOL`` (1e-9).  A line is scanned on a
+    uniform periodic grid of ``_GRID_POINTS`` (32) points, one of them the
+    current value, and its best cell refined by ``_PARABOLIC_STEPS``
+    successive parabolic-interpolation steps.  All ``restarts`` run in
+    lockstep as one batch; each leaves it on its own convergence test or at
+    ``max_sweeps``.  ``seed`` draws the random restarts.
     """
 
     restarts: int = 8
     max_sweeps: int = 40
     seed: int = 0
-    include_schmidt: bool = True
 
 
 @dataclass(frozen=True)
@@ -285,22 +286,18 @@ def _lockstep_line_max(f1d, x0: np.ndarray, f0: np.ndarray, points: int):
     return x, fx
 
 
-# Paired forms.  gamma reads 2Q paired coefficients (Q quadruples, plus and
-# minus).  For a state rotated by the local unitary (ua, ub) each is a value
-# of a form that is linear in a first copy of the unitary and conjugate-linear
-# in a second: form(start, xa, xb, ya, yb) with (xa, xb) = (ya, yb) = (ua, ub).
-# Every product below is a broadcast multiply-and-sum over the last axis, so
-# a row's value does not depend on the batch it is computed in.
+# The paired form.  gamma reads 2Q paired coefficients (Q quadruples, plus
+# and minus).  For a density matrix rotated by the local unitary (ua, ub)
+# each is a value of a form that is linear in a first copy of the unitary and
+# conjugate-linear in a second: _dense_form(mat, xa, xb, ya, yb) with
+# (xa, xb) = (ya, yb) = (ua, ub).  Every product below is a broadcast
+# multiply-and-sum over the last axis, so a row's value does not depend on
+# the batch it is computed in.
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y over broadcast leading axes, summed along a contiguous last axis."""
     return (x[..., :, None, :] * y.swapaxes(-1, -2)[..., None, :, :]).sum(axis=-1)
-
-
-def _amp_rotate(amp: np.ndarray, ua, ub) -> np.ndarray:
-    """ua @ amp @ ub.T: the amplitudes of the state rotated by (ua, ub)."""
-    return _matmul(_matmul(ua, amp), ub.swapaxes(-1, -2))
 
 
 def _dense_rotate(mat: np.ndarray, ua, ub) -> np.ndarray:
@@ -311,36 +308,26 @@ def _dense_rotate(mat: np.ndarray, ua, ub) -> np.ndarray:
     return _matmul(_matmul(w, mat), w.conj().swapaxes(-1, -2))
 
 
-def _amp_form(amp: np.ndarray, xa, xb, ya, yb, dims: BipartiteDims) -> np.ndarray:
-    """amp_x[left] * conj(amp_y[right]) with amp_x = xa @ amp @ xb.T and
-    amp_y = ya @ amp @ yb.T, over the flattened (m, n) amplitudes."""
-    left, right = _paired_positions(dims.m, dims.n)
-
-    def rotate(ua, ub):
-        out = _amp_rotate(amp, ua, ub)
-        return out.reshape(*out.shape[:-2], dims.size)
-
-    return rotate(xa, xb).take(left, axis=-1) * rotate(ya, yb).take(right, axis=-1).conj()
-
-
-def _dense_form(mat: np.ndarray, xa, xb, ya, yb, dims: BipartiteDims) -> np.ndarray:
+def _dense_form(mat: np.ndarray, xa, xb, ya, yb) -> np.ndarray:
     """(W_x mat W_y^H)[left, right] with W = kron(a, b) per row; only the
-    needed rows of each kron are formed."""
-    left, right = _paired_positions(dims.m, dims.n)
+    needed rows of each kron are formed.  m and n are the sizes of the
+    unitaries' factors."""
+    m, n = xa.shape[-1], xb.shape[-1]
+    left, right = _paired_positions(m, n)
 
     def kron_rows(ua, ub, rows):
-        w = (ua.take(rows // dims.n, axis=-2)[..., None]
-             * ub.take(rows % dims.n, axis=-2)[..., None, :])
-        return w.reshape(*w.shape[:-2], dims.size)
+        w = (ua.take(rows // n, axis=-2)[..., None]
+             * ub.take(rows % n, axis=-2)[..., None, :])
+        return w.reshape(*w.shape[:-2], m * n)
 
     return (_matmul(kron_rows(xa, xb, left), mat)
             * kron_rows(ya, yb, right).conj()).sum(axis=-1)
 
 
-def _form_gamma(form, start: np.ndarray, ua: np.ndarray, ub: np.ndarray,
+def _form_gamma(start: np.ndarray, ua: np.ndarray, ub: np.ndarray,
                 n2: float) -> np.ndarray:
     """The objective: gamma of each row of ``start`` rotated by (ua, ub)."""
-    return _gamma_of_pairs(form(start, ua, ub, ua, ub), n2)
+    return _gamma_of_pairs(_dense_form(start, ua, ub, ua, ub), n2)
 
 
 @lru_cache(maxsize=None)
@@ -364,8 +351,8 @@ def _generator_anchors(d: int) -> np.ndarray:
     return anchors
 
 
-def _coordinate_line(form, state: np.ndarray, eyes: list, side: int,
-                    anchors: np.ndarray, n2: float):
+def _coordinate_line(state: np.ndarray, eyes: list, side: int,
+                     anchors: np.ndarray, n2: float):
     """Gamma of every row of ``state`` after exp(tX) acts on factor ``side``
     (0 for u_a, 1 for u_b), as a function of t.
 
@@ -379,7 +366,8 @@ def _coordinate_line(form, state: np.ndarray, eyes: list, side: int,
     """
     first, second = list(eyes), list(eyes)
     first[side], second[side] = anchors[:, None, None], anchors[None, :, None]
-    g = form(state, *first, *second)  # g[j, k] = form(A_j, A_k), (3, 3, R, 2Q)
+    # g[j, k] = form(A_j, A_k), of shape (3, 3, R, 2Q)
+    g = _dense_form(state, *first, *second)
     constant = g[0, 0]
     # cos t, sin t, cos^2 t, cos t sin t, sin^2 t; the complex coefficients
     # are read as interleaved (real, imag) pairs, so the product is real.
@@ -400,13 +388,11 @@ def _coordinate_line(form, state: np.ndarray, eyes: list, side: int,
     return along
 
 
-def _lockstep_ascent(form, rotate, source: np.ndarray, bases: tuple, n2: float,
+def _lockstep_ascent(source: np.ndarray, bases: tuple, n2: float,
                      opts: OptimizerOptions):
     """Coordinate ascent over U(m) x U(n), one restart per base point.
 
-    ``source`` is the input (amplitudes or density matrix), ``rotate`` maps
-    it and a pair of unitaries to the rotated state, and ``form`` is the
-    paired form of a state (see ``_amp_form``).  ``bases`` stacks each
+    ``source`` is the input density matrix and ``bases`` stacks each
     restart's (u_a, u_b).  A sweep runs one line per off-diagonal generator
     of each factor (``_generator_anchors``): the line is set up on the
     restart's current rotated state (``_coordinate_line``) and maximized by
@@ -419,8 +405,8 @@ def _lockstep_ascent(form, rotate, source: np.ndarray, bases: tuple, n2: float,
     """
     us = [u.copy() for u in bases]
     eyes = [np.eye(u.shape[-1], dtype=complex) for u in us]
-    states = rotate(source, *us)
-    f = _form_gamma(form, states, *eyes, n2)
+    states = _dense_rotate(source, *us)
+    f = _form_gamma(states, *eyes, n2)
     count = len(f)
     sweeps = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
@@ -436,17 +422,17 @@ def _lockstep_ascent(form, rotate, source: np.ndarray, bases: tuple, n2: float,
         at_zero = np.zeros(active.size)
         for side, eye in enumerate(eyes):
             for anchors in _generator_anchors(len(eye)):
-                line = _coordinate_line(form, state, eyes, side, anchors, n2)
+                line = _coordinate_line(state, eyes, side, anchors, n2)
                 t, f_act = _lockstep_line_max(line, at_zero, f_act, _GRID_POINTS)
                 step = list(eyes)
                 step[side] = (anchors[0] + anchors[1] * np.cos(t)[:, None, None]
                               + anchors[2] * np.sin(t)[:, None, None])
-                state = rotate(state, *step)
+                state = _dense_rotate(state, *step)
                 pair[side] = _matmul(step[side], pair[side])
         for u, p in zip(us, pair):
             u[active] = p
-        states[active] = state = rotate(source, *pair)
-        f_act = _form_gamma(form, state, *eyes, n2)
+        states[active] = state = _dense_rotate(source, *pair)
+        f_act = _form_gamma(state, *eyes, n2)
         f[active] = f_act
         done = f_act - f_start <= _SWEEP_TOL
         converged[active[done]] = True
@@ -455,16 +441,17 @@ def _lockstep_ascent(form, rotate, source: np.ndarray, bases: tuple, n2: float,
 
 
 def _restart_batch(state: PureState | DensityOperator, opts: OptimizerOptions):
-    """Base points of the restarts as one (u_a, u_b) pair of stacks, the
-    input array, and the paired form and rotation of its kind.
+    """Base points of the restarts as one (u_a, u_b) pair of stacks.
 
-    Restart i >= 2 (>= 1 without a Schmidt restart) draws its Haar factors
-    from ``default_rng([seed, i])`` exactly as ``random_local_unitary``
-    does, and each side's draws share one QR.
+    Restart 0 is the identity.  Restart 1 of a pure input, if there is one,
+    is its Schmidt rotation, where gamma is the proven supremum.  Every
+    other restart i draws its Haar factors from ``default_rng([seed, i])``
+    exactly as ``random_local_unitary`` does, and each side's draws share
+    one QR.
     """
     dims = state.dims
     fixed = [(np.eye(dims.m, dtype=complex), np.eye(dims.n, dtype=complex))]
-    if isinstance(state, PureState) and opts.include_schmidt and opts.restarts > 1:
+    if isinstance(state, PureState) and opts.restarts > 1:
         _, rot = schmidt_rotation(state)
         fixed.append((rot.u_a, rot.u_b))
     rngs = [np.random.default_rng([opts.seed, i]) for i in range(len(fixed), opts.restarts)]
@@ -475,9 +462,7 @@ def _restart_batch(state: PureState | DensityOperator, opts: OptimizerOptions):
         stack = np.concatenate([np.array([f[side] for f in fixed]), _haar_from_gaussian(gauss)])
         _check_unitary(("u_a", "u_b")[side], stack)
         bases.append(stack)
-    if isinstance(state, PureState):
-        return tuple(bases), state.amp, partial(_amp_form, dims=dims), _amp_rotate
-    return tuple(bases), state.mat, partial(_dense_form, dims=dims), _dense_rotate
+    return tuple(bases)
 
 
 def maximize_gamma(
@@ -487,20 +472,24 @@ def maximize_gamma(
 ) -> SupremumReport:
     """Maximize gamma over local unitaries by seeded multi-restart ascent.
 
-    Restart base points are the identity, the Schmidt rotation (pure inputs;
-    the analytic supremum candidate is therefore always reachable) and Haar
-    random local unitaries; each restart sweeps one-parameter subgroups
-    applied to its current rotated state.  The restarts run in lockstep as
-    one batch, so each line probe is one array evaluation over every restart
-    still sweeping; a restart follows the same path as it would alone.  The
-    first restart with the largest value wins.  Deterministic given
-    ``opts.seed``.  Values above the Schmidt benchmark are reported as
-    found, never clipped.
+    A pure input is searched on its density matrix ``pure_to_density(psi)``,
+    with the objective a density input has.  Restart base points are the
+    identity, the Schmidt rotation (pure inputs; the proven supremum is
+    therefore always reachable) and Haar random local unitaries; each
+    restart sweeps one-parameter subgroups applied to its current rotated
+    state.  The restarts run in lockstep as one batch, so each line probe is
+    one array evaluation over every restart still sweeping; a restart
+    follows the same path as it would alone.  The first restart with the
+    largest value wins.  Deterministic given ``opts.seed``.  Values above
+    the Schmidt benchmark are reported as found, never clipped.
     """
     opts = opts or OptimizerOptions()
-    schmidt_val = gamma_schmidt(state, cfg) if isinstance(state, PureState) else None
-    bases, source, form, rotate = _restart_batch(state, opts)
-    f, ua, ub, sweeps, converged = _lockstep_ascent(form, rotate, source, bases, cfg.n2, opts)
+    bases = _restart_batch(state, opts)
+    if isinstance(state, PureState):
+        schmidt_val, source = gamma_schmidt(state, cfg), pure_to_density(state).mat
+    else:
+        schmidt_val, source = None, state.mat
+    f, ua, ub, sweeps, converged = _lockstep_ascent(source, bases, cfg.n2, opts)
     best = int(np.argmax(f))
     return SupremumReport(
         best_gamma=float(f[best]),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import BipartiteDims
+from .linalg import BipartiteDims, check_input_dims
 from .local_unitary import LocalUnitary
 from .states import NORM_TOL, DensityOperator, PureState
 
@@ -96,6 +96,7 @@ def state_from_dict(doc: dict, renormalize: bool = False) -> PureState | Density
         raise StateFileError(f"dims mismatch: expected [M, N] integers, got {dims_field!r}")
     try:
         dims = BipartiteDims(*dims_field)
+        check_input_dims(dims)
     except ValueError as exc:
         raise StateFileError(str(exc)) from exc
 

@@ -188,6 +188,22 @@ def test_simulate_without_a_plan_builds_only_the_targets(bell_2x3, monkeypatch):
         bg.simulate_shots(bell_2x3)
 
 
+@pytest.mark.parametrize("plan_dims", ["2x2", "3x3"])
+def test_a_plan_for_other_dims_is_refused(plan_dims):
+    # A 2x2 plan's targets all lie inside a 2x3 state, so unchecked it gives
+    # a wrong estimate (here 0.120 at 100 shots, against gamma 0.205); a 3x3
+    # plan's fall outside it.
+    psi = bg.random_pure(bg.BipartiteDims(2, 3), 0)
+    plan = bg.plan_measurement(bg.BipartiteDims.parse(plan_dims))
+    message = f"^plan dims {plan_dims} do not match state dims 2x3$"
+    with pytest.raises(ValueError, match=message):
+        bg.simulate_shots(psi, plan, shots=100)
+    with pytest.raises(ValueError, match=message):
+        bg.simulate_shots(psi, plan, exact=True)
+    with pytest.raises(ValueError, match=message):
+        bg.shot_error_table(psi, [100], reps=2, seed=0, plan=plan)
+
+
 def test_simulate_mixed_requires_rotation():
     rho = bg.random_density(bg.BipartiteDims(2, 2), 1)
     with pytest.raises(ValueError, match="phase rotation"):

@@ -590,6 +590,34 @@ def test_conjecture_rejects_a_non_finite_or_negative_threshold(capsys, value):
     )
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+def test_conjecture_rejects_a_thread_count_below_one(capsys, value):
+    # A pool needs one worker or more; 0 and -3 must not pass as a serial run.
+    argv = ["conjecture", "--dims", "2x2", "--trials", "1", f"--threads={value}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(
+        f"error: argument --threads: expected a positive integer, got '{value}'\n"
+    )
+
+
+@pytest.mark.parametrize("dims", ["6x2", "2x6", "6x6"])
+def test_conjecture_rejects_dims_past_the_input_bound(capsys, dims):
+    # checked before any trial runs
+    code, out, err = _run(capsys, ["conjecture", "--dims", "2x2", "--dims", dims,
+                                   "--trials", "1", "--threads", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: subsystem dimensions must both be at most 5, got {dims}\n"
+
+
+def test_conjecture_admits_the_largest_dims(capsys):
+    code, out, err = _run(capsys, ["conjecture", "--dims", "5x5", "--trials", "0"])
+    assert (code, _parse_csv(out)) == (0, [])
+    assert err == "# 5x5: trials=0 max_deviation=0 overshoots=0\n"
+
+
 def test_conjecture_accepts_a_zero_threshold_and_then_fails(capsys):
     argv = ["conjecture", "--dims", "2x2", "--trials", "1", "--threshold", "0", "--threads", "1"]
     code, out, _ = _run(capsys, argv)

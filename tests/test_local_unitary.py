@@ -12,6 +12,7 @@ from bellgamma.local_unitary import (
     _SWEEP_TOL,
     SWEEP_OPTS,
     _coordinate_line,
+    _dense_rotate,
     _form_gamma,
     _generator_anchors,
     _lockstep_ascent,
@@ -261,34 +262,34 @@ def _reference_line_max(f1d, x0, f0, points, trace=None):
     return x, fx
 
 
-def _reference_ascent(form, rotate, source, base, n2, opts):
+def _reference_ascent(source, base, n2, opts):
     """Coordinate ascent of one restart on its own: (value, sweeps, converged).
 
     ``base`` holds the one restart's (u_a, u_b) as batches of one.  Each
     probe goes through the same coordinate line form as the lockstep search,
     one probe at a time, and the state and the factor move by each accepted
     rotation through the same products; a sweep's value is the objective
-    read from ``source`` at its unitaries.
+    read from the density matrix ``source`` at its unitaries.
     """
     us = list(base)
     eyes = [np.eye(u.shape[-1], dtype=complex) for u in us]
-    state = rotate(source, *us)
-    f = float(_form_gamma(form, state, *eyes, n2)[0])
+    state = _dense_rotate(source, *us)
+    f = float(_form_gamma(state, *eyes, n2)[0])
     for sweep in range(1, opts.max_sweeps + 1):
         f_start = f
         for side, eye in enumerate(eyes):
             for anchors in _generator_anchors(len(eye)):
-                line = _coordinate_line(form, state, eyes, side, anchors, n2)
+                line = _coordinate_line(state, eyes, side, anchors, n2)
                 t, f = _reference_line_max(
                     lambda t: float(line(np.array([t]))[0]), 0.0, f, _GRID_POINTS,
                 )
                 step = list(eyes)
                 at = np.full((1, 1, 1), t)
                 step[side] = anchors[0] + anchors[1] * np.cos(at) + anchors[2] * np.sin(at)
-                state = rotate(state, *step)
+                state = _dense_rotate(state, *step)
                 us[side] = _matmul(step[side], us[side])
-        state = rotate(source, *us)
-        f = float(_form_gamma(form, state, *eyes, n2)[0])
+        state = _dense_rotate(source, *us)
+        f = float(_form_gamma(state, *eyes, n2)[0])
         if f - f_start <= _SWEEP_TOL:
             return f, sweep, True
     return f, opts.max_sweeps, False
@@ -344,19 +345,17 @@ BATCH_CASES = {
 def test_lockstep_restarts_match_restarts_run_alone(case):
     state, max_sweeps = BATCH_CASES[case]
     opts = bg.OptimizerOptions(restarts=8, max_sweeps=max_sweeps, seed=4)
-    bases, source, form, rotate = _restart_batch(state, opts)
+    bases, source = _restart_batch(state, opts), _density_matrix(state)
     n2 = bg.CONCURRENCE_MATCHED.n2
-    f, ua, ub, sweeps, converged = _lockstep_ascent(form, rotate, source, bases, n2, opts)
+    f, ua, ub, sweeps, converged = _lockstep_ascent(source, bases, n2, opts)
     assert len(f) == 8
     for i in range(8):
         base = tuple(u[i:i + 1] for u in bases)
-        f1, ua1, ub1, sweeps1, converged1 = _lockstep_ascent(
-            form, rotate, source, base, n2, opts
-        )
+        f1, ua1, ub1, sweeps1, converged1 = _lockstep_ascent(source, base, n2, opts)
         assert abs(f1[0] - f[i]) <= 1e-12
         assert (sweeps1[0], converged1[0]) == (sweeps[i], converged[i])
         assert bg.matrices_close(ua1[0], ua[i]) and bg.matrices_close(ub1[0], ub[i])
-        f_ref, sweeps_ref, converged_ref = _reference_ascent(form, rotate, source, base, n2, opts)
+        f_ref, sweeps_ref, converged_ref = _reference_ascent(source, base, n2, opts)
         assert abs(f_ref - f[i]) <= 1e-12
         assert (sweeps_ref, converged_ref) == (sweeps[i], converged[i])
 
@@ -372,25 +371,32 @@ def _random_state(kind, dims, seed):
     return (bg.random_pure if kind == "pure" else bg.random_density)(dims, seed)
 
 
+def _density_matrix(state):
+    """The matrix the search runs on: the projector of a pure input."""
+    return (bg.pure_to_density(state) if isinstance(state, bg.PureState) else state).mat
+
+
 @pytest.mark.parametrize("kind", ["pure", "density"])
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
 def test_coordinate_line_equals_the_objective_at_the_moved_unitary(kind, dims):
     m, n = dims
     state = _random_state(kind, bg.BipartiteDims(m, n), 10 * m + n)
-    _, source, form, rotate = _restart_batch(state, bg.OptimizerOptions(restarts=3))
+    source = _density_matrix(state)
     n2 = bg.CONCURRENCE_MATCHED.n2
     rng = np.random.default_rng(m * n)
     # three rows, each the input in its own random frame
     frames = [bg.random_local_unitary(state.dims, [m * n, r]) for r in range(3)]
-    current = rotate(source, np.array([u.u_a for u in frames]), np.array([u.u_b for u in frames]))
+    current = _dense_rotate(
+        source, np.array([u.u_a for u in frames]), np.array([u.u_b for u in frames])
+    )
     eyes = [np.eye(m, dtype=complex), np.eye(n, dtype=complex)]
     for side, d in enumerate((m, n)):
         for anchors in _generator_anchors(d):
             t = rng.uniform(-4 * np.pi, 4 * np.pi, (5, 3))
-            along = _coordinate_line(form, current, eyes, side, anchors, n2)(t)
+            along = _coordinate_line(current, eyes, side, anchors, n2)(t)
             moved = list(eyes)
             moved[side] = _exp(anchors[2], t)
-            direct = _form_gamma(form, current, *moved, n2)
+            direct = _form_gamma(current, *moved, n2)
             assert along.shape == t.shape
             assert np.max(np.abs(along - direct)) <= 1e-13
 
@@ -400,9 +406,10 @@ def test_coordinate_line_equals_the_objective_at_the_moved_unitary(kind, dims):
 def test_objective_is_gamma_of_the_rotated_state(kind, dims):
     d = bg.BipartiteDims(*dims)
     state = _random_state(kind, d, 3)
-    bases, source, form, rotate = _restart_batch(state, bg.OptimizerOptions(restarts=4, seed=1))
+    bases = _restart_batch(state, bg.OptimizerOptions(restarts=4, seed=1))
     u = bg.random_local_unitary(d, 2)
-    got = _form_gamma(form, rotate(source, *bases), u.u_a, u.u_b, bg.PAPER_2X3.n2)
+    got = _form_gamma(_dense_rotate(_density_matrix(state), *bases), u.u_a, u.u_b,
+                      bg.PAPER_2X3.n2)
     for ba, bb, value in zip(*bases, got):
         moved = bg.LocalUnitary(u.u_a @ ba, u.u_b @ bb)
         if kind == "pure":
@@ -418,7 +425,7 @@ def test_restart_bases_are_the_seeded_haar_draws(kind, dims):
     d = bg.BipartiteDims.parse(dims)
     for seed in range(4):
         state = _random_state(kind, d, seed)
-        (ua, ub), _, _, _ = _restart_batch(state, bg.OptimizerOptions(seed=seed))
+        ua, ub = _restart_batch(state, bg.OptimizerOptions(seed=seed))
         assert ua.shape == (8, d.m, d.m) and ub.shape == (8, d.n, d.n)
         assert np.array_equal(ua[0], np.eye(d.m)) and np.array_equal(ub[0], np.eye(d.n))
         first = 1
@@ -454,6 +461,23 @@ def test_maximize_gamma_density_reported_unitary_reproduces_value():
     assert report.best_gamma >= bg.gamma(rho, cfg).total - 1e-12
     reval = bg.gamma(bg.apply_local_density(rho, report.best_unitary), cfg).total
     assert reval == pytest.approx(report.best_gamma, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", ["2x2", "2x3", "3x2", "3x3", "3x4"])
+def test_pure_search_is_the_search_on_its_density_matrix(dims):
+    # Without the Schmidt restart (one restart), a pure input and its
+    # projector run the same search, bit for bit.
+    psi = bg.random_pure(bg.BipartiteDims.parse(dims), 5)
+    cfg = bg.CONCURRENCE_MATCHED
+    opts = bg.OptimizerOptions(restarts=1)
+    pure = bg.maximize_gamma(psi, cfg, opts)
+    dense = bg.maximize_gamma(bg.pure_to_density(psi), cfg, opts)
+    assert pure.best_gamma == dense.best_gamma
+    assert np.array_equal(pure.best_unitary.u_a, dense.best_unitary.u_a)
+    assert np.array_equal(pure.best_unitary.u_b, dense.best_unitary.u_b)
+    assert (pure.iterations, pure.converged) == (dense.iterations, dense.converged)
+    assert pure.schmidt_gamma == bg.gamma_schmidt(psi, cfg)
+    assert dense.schmidt_gamma is None
 
 
 @pytest.mark.parametrize("dims", ["2x2", "2x3"])

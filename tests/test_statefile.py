@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import bellgamma as bg
 from bellgamma.cli import main
+from bellgamma.linalg import MAX_INPUT_DIM
 from bellgamma.statefile import StateFileError
 
 
@@ -47,6 +48,29 @@ def test_loader_rejects_bad_dims_field(tmp_path):
     doc = {"dims": "2x3", "kind": "pure", "data": []}
     with pytest.raises(StateFileError, match="dims mismatch"):
         bg.load_state(_write(tmp_path, doc))
+
+
+PAST = MAX_INPUT_DIM + 1
+
+
+@pytest.mark.parametrize("dims", [[PAST, 2], [2, PAST], [PAST, PAST]])
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_loader_rejects_dims_past_the_input_bound(tmp_path, kind, dims):
+    # refused before the data is read
+    doc = {"dims": dims, "kind": kind, "data": []}
+    message = f"^subsystem dimensions must both be at most 5, got {dims[0]}x{dims[1]}$"
+    with pytest.raises(StateFileError, match=message):
+        bg.load_state(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_loader_admits_the_largest_dims(tmp_path, kind):
+    dims = bg.BipartiteDims(MAX_INPUT_DIM, MAX_INPUT_DIM)
+    make = bg.random_pure if kind == "pure" else bg.random_density
+    state = make(dims, 0)
+    path = tmp_path / "big.qstate.json"
+    bg.save_state(path, state)
+    assert bg.load_state(path).dims == dims
 
 
 @pytest.mark.parametrize("dims", [[True, 2], [2, False]])

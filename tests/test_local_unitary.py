@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -496,6 +497,51 @@ def test_product_density_converges_after_one_sweep_per_restart(dims):
     assert report.converged
     assert report.iterations == report.restarts
     assert report.best_gamma <= 1e-12
+
+
+# The search pinned bit for bit: (float.hex(best_gamma), iterations,
+# converged, sha256 of the best unitary's bytes) under six sweeps at most.  A
+# change to the search's arithmetic that is meant to be exact must leave
+# every entry as it is.  The values were recorded with numpy 2.4 on x86-64;
+# another numpy, BLAS or LAPACK build may round the Haar draws or the line
+# products differently.
+PINNED_SEARCHES = {
+    "density-2x2-0": ("0x1.19d7b354cdaeap-2", 45, False,
+                      "1871de98d0bb714b167ac802d4038b2108fe99be2e2dc07e82f523c5ad24c719"),
+    "density-2x2-1": ("0x1.908b6b45c9f23p-3", 37, False,
+                      "823e8284665538104d7f242ced64d0642122e92d1e5fbbb14e3661f6c7b1c761"),
+    "density-2x3-0": ("0x1.2752408db9341p-2", 48, False,
+                      "9651cc2ac12407aeba587181072bebb2410b587b3ab4b2b228e98dac8b6ed4e4"),
+    "density-2x3-1": ("0x1.7c962be4b9e00p-2", 48, False,
+                      "e9bf3f525092e64efc8d0253497031e49a879d5c024dce059c37dc9636e97b69"),
+    "density-3x3-0": ("0x1.1edc4dc35d237p-2", 48, False,
+                      "18efa5f43b038822efd0a135004b6decfdd3ed4393c84e4486fba48281f81005"),
+    "density-3x3-1": ("0x1.6fb278ecb4ee4p-2", 48, False,
+                      "456b545ed0fb5f307c8979d59beb4c18ac0f30d679e824779d72d67aa631a23b"),
+    "product-2x3": ("0x1.d1ed52076fbe9p-54", 8, True,
+                    "256a67239abbff1a64f68c6643bd0a28926a2befbda5dac158c8c49059119f25"),
+    "pure-2x3": ("0x1.99c530f0fec9cp-1", 37, False,
+                 "a9d326504d2919f81f2a5bd2e1e71ba6342063163d3231b6f7e2ea79a5923134"),
+}
+
+
+def _pinned_input(name):
+    kind, rest = name.split("-", 1)
+    if kind == "density":
+        dims, seed = rest.split("-")
+        return bg.random_density(bg.BipartiteDims.parse(dims), int(seed))
+    dims = bg.BipartiteDims.parse(rest)
+    return bg.random_product(dims, 2) if kind == "product" else bg.random_pure(dims, 3)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCHES))
+def test_search_matches_its_pinned_result_bit_for_bit(name):
+    report = bg.maximize_gamma(_pinned_input(name), bg.CONCURRENCE_MATCHED,
+                               bg.OptimizerOptions(max_sweeps=6))
+    u = report.best_unitary
+    digest = hashlib.sha256(u.u_a.tobytes() + u.u_b.tobytes()).hexdigest()
+    got = (float.hex(report.best_gamma), report.iterations, report.converged, digest)
+    assert got == PINNED_SEARCHES[name]
 
 
 def test_conjecture_sweep_rows_and_summary():

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import BipartiteDims, coeff_quadruples, pair_index
-from .local_unitary import LocalUnitary
+from .local_unitary import LocalUnitary, apply_local_density
 from .measures import PAPER_2X3, MeasureConfig, gamma
 from .states import BellState, DensityOperator, PureState, bell_vector, pure_to_density
 
@@ -450,6 +450,9 @@ def shot_error_table(
     """Repeated simulations against the exact gamma, plus the per-shot-count
     median absolute error (the 1/sqrt(shots) convergence summary).
 
+    The exact gamma is that of the state the projections measure: the input
+    rotated by ``phase_rotation`` when one is given.
+
     The exact outcome probabilities are computed once per state, in closed
     form (see ``_target_probabilities``), and for each shot count every rep
     is sampled and estimated as one batch.  Rep
@@ -462,10 +465,11 @@ def shot_error_table(
         raise ValueError(f"reps must be >= 1, got {reps}")
     _check_shots(shots_list)
     targets = _plan_targets(state, plan)
-    if isinstance(state, PureState):
-        truth = gamma(pure_to_density(state), cfg).total
-    else:
-        truth = gamma(state, cfg).total
+    rho = pure_to_density(state) if isinstance(state, PureState) else state
+    if phase_rotation is not None:
+        # the probabilities are read in the rotated frame, so gamma is too
+        rho = apply_local_density(rho, phase_rotation)
+    truth = gamma(rho, cfg).total
     probs = _target_probabilities(state, targets, phase_rotation).ravel()
     _, cols = _quadruple_columns(targets, state.dims)
     rows = []

@@ -184,7 +184,8 @@ def cmd_measure(args) -> int:
     if isinstance(state, PureState):
         rho = pure_to_density(state)
         ic = i_concurrence(state)
-        schmidt_val = gamma_schmidt(state, cfg)
+        dec = schmidt(state)
+        schmidt_val = gamma_schmidt(dec, cfg)
         cg4 = concurrence_general(state, 4.0)
         c23 = concurrence_2x3(state) if (dims.m, dims.n) == (2, 3) else None
     else:
@@ -201,7 +202,7 @@ def cmd_measure(args) -> int:
         # attains it.  So the supremum is known exactly, and a pure state is
         # separable exactly when its Schmidt rank is 1.
         sup_gamma = concurrence_general(state, prefactor=cfg.n2)
-        if schmidt(state).rank == 1:
+        if dec.rank == 1:
             flags.append(SEPARABLE_FLAG)
     else:
         sup = maximize_gamma(state, cfg, OptimizerOptions(seed=args.seed))

@@ -12,11 +12,13 @@ along a one-parameter subgroup exp(tX), X = E_ab - E_ba or i(E_ab + E_ba)
 for a level pair a<b, applied to the restart's current rotated state.
 exp(tX) = A0 + A1 cos t + A2 sin t with constant anchors, so each
 coefficient is a fixed combination of 1, cos t, sin t, cos^2 t, cos t sin t
-and sin^2 t: a line is set up by one form call, and each probe of its
-search is one small product per restart, with no unitary or rotated state
-built per probe.  A line's search is one scan of a periodic grid followed
-by a few successive parabolic-interpolation steps, each step one probe per
-restart.
+and sin^2 t.  A line's table of those combinations is a gather: every
+anchor has at most one nonzero per row, so each table entry is one entry of
+the rotated state times a constant 0, +-1 or +-i, read by one fancy index.
+Each probe of the line's search is one small product per restart, with no
+unitary or rotated state built per probe.  A line's search is one scan of a
+periodic grid, whose trigonometric basis is built once, followed by a few
+successive parabolic-interpolation steps, each step one probe per restart.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .measures import (
 from .states import (
     DensityOperator,
     PureState,
-    _complex_gaussian,
     _haar_from_gaussian,
     haar_unitary,
     pure_to_density,
@@ -238,51 +239,70 @@ _GRID_POINTS = 32
 _PARABOLIC_STEPS = 3
 
 
-def _lockstep_line_max(f1d, x0: np.ndarray, f0: np.ndarray, points: int):
-    """Maximize R 2*pi-periodic functions of one variable at once.
+#: Selects the hi row of a line search's (lo, hi) bracket.
+_HI_END = np.array([[False], [True]])
+
+
+@lru_cache(maxsize=None)
+def _grid_offsets(points: int) -> np.ndarray:
+    """Offsets of a uniform periodic grid of ``points`` points in
+    ``np.fft.fftfreq`` order, 0 first; read-only."""
+    offsets = 2.0 * math.pi * np.fft.fftfreq(points)
+    offsets.setflags(write=False)
+    return offsets
+
+
+def _lockstep_line_max(f1d, grid: np.ndarray, f0: np.ndarray):
+    """Maximize R 2*pi-periodic functions of one variable at once, from 0.
 
     ``f1d`` maps arguments of shape (..., R) to values of the same shape,
-    function r taking the arguments in column r.  One call scans a uniform
-    periodic grid of ``points`` points per row, whose point 0 is the
-    incumbent (x0, f0); the best grid point and its two periodic neighbours
-    bracket the peak.  Each of ``_PARABOLIC_STEPS`` successive parabolic
-    interpolation steps (Brent 1973) then probes, in one call, the vertex of
-    the parabola through each row's bracket.  A vertex outside its bracket
-    is discarded.  A vertex that beats the middle point becomes the middle,
-    and the old middle the bracket end on the far side; one that does not
-    becomes the end on its own side.  The middle only ever moves to a larger
-    value, so the incumbent is never abandoned for a worse one.  Every step
-    is elementwise, so each row ends where it would end alone.
+    function r taking the arguments in column r.  ``grid`` holds the values
+    at the nonzero points of a uniform periodic grid,
+    ``_grid_offsets(len(grid) + 1)[1:]``, and ``f0`` the incumbent's at
+    point 0; the best grid point and its two periodic neighbours bracket the
+    peak.  Each of ``_PARABOLIC_STEPS`` successive parabolic interpolation
+    steps (Brent 1973) then probes, in one call, the vertex of the parabola
+    through each row's bracket.  A vertex outside its bracket is discarded.
+    A vertex that beats the middle point becomes the middle, and the old
+    middle the bracket end on the far side; one that does not becomes the
+    end on its own side.  The middle only ever moves to a larger value, so
+    the incumbent is never abandoned for a worse one.  Every step is
+    elementwise, so each row ends where it would end alone.
     """
-    offsets = 2.0 * math.pi * np.fft.fftfreq(points)
-    values = np.concatenate([f0[None], f1d(x0 + offsets[1:, None])])
+    points = len(grid) + 1
+    offsets = _grid_offsets(points)
+    count = len(f0)
+    values = np.concatenate([f0[None], grid])
     best = values.argmax(axis=0)
-    rows = np.arange(len(x0))
-    x, fx = x0 + offsets[best], values[best, rows]
-    # bracket ends as offsets from x, with their values
-    lo, hi = np.full_like(x, -offsets[1]), np.full_like(x, offsets[1])
-    f_lo, f_hi = values[best - 1, rows], values[(best + 1) % points, rows]
+    rows = np.arange(count)
+    x, fx = offsets[best], values[best, rows]
+    # bracket ends (lo, hi) as offsets from x, with their values
+    ends = np.empty((2, count))
+    ends[0], ends[1] = -offsets[1], offsets[1]
+    f_ends = values[np.array([best - 1, (best + 1) % points]), rows]
     for _ in range(_PARABOLIC_STEPS):
-        g_lo, g_hi = fx - f_lo, fx - f_hi
-        num = 0.5 * (lo * lo * g_hi - hi * hi * g_lo)
-        den = lo * g_hi - hi * g_lo
+        g = fx - f_ends[::-1]  # (fx - f_hi, fx - f_lo)
+        sq = ends * ends * g
+        num = 0.5 * (sq[0] - sq[1])
+        cross = ends * g
+        den = cross[0] - cross[1]
+        bound = ends * den
         # num / den strictly inside (lo, hi); false as well when den >= 0,
         # where the parabola has no maximum, and when a value is NaN
-        inside = (num < lo * den) & (num > hi * den)
-        step = np.divide(num, den, out=np.zeros_like(num), where=inside)
+        inside = (num < bound[0]) & (num > bound[1])
+        step = np.divide(num, den, out=np.zeros(count), where=inside)
         f_step = f1d(x + step)
         moved = inside & (f_step > fx)
-        left = step < 0.0
         # Of lo < min(step, 0) < max(step, 0) < hi the better inner point is
-        # the new middle, so exactly one end moves.
-        at_lo, at_hi = inside & (left != moved), inside & (left == moved)
-        lo = np.where(at_lo, np.minimum(step, 0.0), lo)
-        hi = np.where(at_hi, np.maximum(step, 0.0), hi)
-        f_lo = np.where(at_lo, np.where(left, f_step, fx), f_lo)
-        f_hi = np.where(at_hi, np.where(left, fx, f_step), f_hi)
+        # the new middle, so exactly one end moves: the one on the step's
+        # side unless the step moved, when the old middle replaces the other.
+        at = inside & (((step < 0.0) != moved) != _HI_END)
+        np.copyto(ends, np.where(moved, 0.0, step), where=at)
+        np.copyto(f_ends, np.where(moved, fx, f_step), where=at)
         shift = np.where(moved, step, 0.0)
-        x, fx = x + shift, np.where(moved, f_step, fx)
-        lo, hi = lo - shift, hi - shift
+        x += shift
+        np.copyto(fx, f_step, where=moved)
+        ends -= shift
     return x, fx
 
 
@@ -290,9 +310,10 @@ def _lockstep_line_max(f1d, x0: np.ndarray, f0: np.ndarray, points: int):
 # and minus).  For a density matrix rotated by the local unitary (ua, ub)
 # each is a value of a form that is linear in a first copy of the unitary and
 # conjugate-linear in a second: _dense_form(mat, xa, xb, ya, yb) with
-# (xa, xb) = (ya, yb) = (ua, ub).  Every product below is a broadcast
-# multiply-and-sum over the last axis, so a row's value does not depend on
-# the batch it is computed in.
+# (xa, xb) = (ya, yb) = (ua, ub).  The search reads each line's values of
+# the form by a gather (_line_table); _dense_form is the reference it equals.
+# Every product below is a broadcast multiply-and-sum over the last axis, so
+# a row's value does not depend on the batch it is computed in.
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -324,12 +345,6 @@ def _dense_form(mat: np.ndarray, xa, xb, ya, yb) -> np.ndarray:
             * kron_rows(ya, yb, right).conj()).sum(axis=-1)
 
 
-def _form_gamma(start: np.ndarray, ua: np.ndarray, ub: np.ndarray,
-                n2: float) -> np.ndarray:
-    """The objective: gamma of each row of ``start`` rotated by (ua, ub)."""
-    return _gamma_of_pairs(_dense_form(start, ua, ub, ua, ub), n2)
-
-
 @lru_cache(maxsize=None)
 def _generator_anchors(d: int) -> np.ndarray:
     """Anchors of the off-diagonal one-parameter subgroups of U(d).
@@ -351,37 +366,84 @@ def _generator_anchors(d: int) -> np.ndarray:
     return anchors
 
 
-def _coordinate_line(state: np.ndarray, eyes: list, side: int,
-                     anchors: np.ndarray, n2: float):
-    """Gamma of every row of ``state`` after exp(tX) acts on factor ``side``
-    (0 for u_a, 1 for u_b), as a function of t.
+@lru_cache(maxsize=None)
+def _line_gather(m: int, n: int, side: int, gen: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the table of a coordinate line reads the rotated state, and with
+    what weight.
 
-    ``anchors`` holds (A0, A1, A2) of exp(tX) and ``eyes`` the identity of
-    each factor.  The paired form is linear in the moving factor and
-    conjugate-linear in it again, so every coefficient is the fixed
-    combination sum_jk form(A_j, A_k) g_j g_k with g = (1, cos t, sin t),
-    read off one form call with the other factor the identity.  The
-    returned function maps probes of shape (..., R) to gamma with one
-    (..., 5) @ (5, 2Q) product per row.
+    The line moves factor ``side`` along exp(tX) with the anchors
+    (A0, A1, A2) = ``_generator_anchors(d)[gen]``.  Each anchor has at most
+    one nonzero per row, so each row l of the joint A_j (x) I (side 0) or
+    I (x) A_j (side 1) has at most one too: w_j[l], one of 0, 1, -1 and i, in
+    column c_j[l].  The paired form of two such joints is therefore
+    form(A_j, A_k) = w_j[left] conj(w_k[right]) mat[c_j[left], c_k[right]],
+    every product exact.  Returns the flat indices c_j[left] MN + c_k[right]
+    into an (MN)^2 matrix and the weights w_j[left] conj(w_k[right]), each of
+    shape (3, 3, 2Q) and read-only.
     """
-    first, second = list(eyes), list(eyes)
-    first[side], second[side] = anchors[:, None, None], anchors[None, :, None]
-    # g[j, k] = form(A_j, A_k), of shape (3, 3, R, 2Q)
-    g = _dense_form(state, *first, *second)
-    constant = g[0, 0]
+    eye = np.eye((n, m)[side])
+    joint = np.array([np.kron(a, eye) if side == 0 else np.kron(eye, a)
+                      for a in _generator_anchors((m, n)[side])[gen]])
+    column = np.abs(joint).argmax(axis=-1)
+    weight = np.take_along_axis(joint, column[..., None], axis=-1)[..., 0]
+    left, right = _paired_positions(m, n)
+    index = column[:, None, left] * (m * n) + column[None, :, right]
+    weight = weight[:, None, left] * weight[None, :, right].conj()
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
+
+
+def _line_table(state: np.ndarray, m: int, n: int, side: int, gen: int) -> np.ndarray:
+    """form(A_j, A_k) of line ``gen`` of factor ``side`` for every row of
+    ``state``, gathered (``_line_gather``): shape (..., 3, 3, 2Q)."""
+    index, weight = _line_gather(m, n, side, gen)
+    return state.reshape(*state.shape[:-2], -1).take(index, axis=-1) * weight
+
+
+def _trig_basis(t: np.ndarray) -> np.ndarray:
+    """cos t, sin t, cos^2 t, cos t sin t and sin^2 t of every probe, as a
+    (*t.shape, 1, 5) stack of row vectors."""
+    basis = np.empty(t.shape + (1, 5))
+    c, s = basis[..., 0, 0], basis[..., 0, 1]
+    np.cos(t, out=c)
+    np.sin(t, out=s)
+    np.multiply(c, c, out=basis[..., 0, 2])
+    np.multiply(c, s, out=basis[..., 0, 3])
+    np.multiply(s, s, out=basis[..., 0, 4])
+    return basis
+
+
+#: The trigonometric basis at the nonzero points of every line's grid,
+#: shared by all restarts: each line search starts at t = 0.
+_GRID_BASIS = _trig_basis(_grid_offsets(_GRID_POINTS)[1:, None])
+_GRID_BASIS.setflags(write=False)
+
+
+def _coordinate_line(state: np.ndarray, m: int, n: int, side: int, gen: int,
+                     n2: float):
+    """Gamma of every row of ``state`` after exp(tX) of line ``gen`` acts on
+    factor ``side`` (0 for u_a, 1 for u_b), as a function of t.
+
+    The paired form is linear in the moving factor and conjugate-linear in
+    it again, so every coefficient is the fixed combination
+    sum_jk form(A_j, A_k) g_j g_k with g = (1, cos t, sin t) and (A0, A1, A2)
+    the anchors of exp(tX).  A line's table form(A_j, A_k) is a gather:
+    one fancy index into the state and one multiply by constant weights of
+    0, +-1 and +-i (``_line_gather``), so it equals ``_dense_form``'s table
+    bit for bit.  The returned function maps a trigonometric basis of shape
+    (..., 1, 5) (``_trig_basis``) to gamma of shape (...), with one
+    (..., 1, 5) @ (5, 2Q) product per row.
+    """
+    g = _line_table(state, m, n, side, gen)
+    constant = g[..., 0, 0, :]
     # cos t, sin t, cos^2 t, cos t sin t, sin^2 t; the complex coefficients
     # are read as interleaved (real, imag) pairs, so the product is real.
-    coef = np.stack([g[0, 1] + g[1, 0], g[0, 2] + g[2, 0], g[1, 1],
-                     g[1, 2] + g[2, 1], g[2, 2]], axis=-2).view(float)
+    coef = np.stack([g[..., 0, 1, :] + g[..., 1, 0, :], g[..., 0, 2, :] + g[..., 2, 0, :],
+                     g[..., 1, 1, :], g[..., 1, 2, :] + g[..., 2, 1, :], g[..., 2, 2, :]],
+                    axis=-2).view(float)
 
-    def along(t: np.ndarray) -> np.ndarray:
-        basis = np.empty(t.shape + (1, 5))
-        c, s = basis[..., 0, 0], basis[..., 0, 1]
-        np.cos(t, out=c)
-        np.sin(t, out=s)
-        np.multiply(c, c, out=basis[..., 0, 2])
-        np.multiply(c, s, out=basis[..., 0, 3])
-        np.multiply(s, s, out=basis[..., 0, 4])
+    def along(basis: np.ndarray) -> np.ndarray:
         pairs = (basis @ coef).view(complex)[..., 0, :] + constant
         return _gamma_of_pairs(pairs, n2)
 
@@ -404,9 +466,18 @@ def _lockstep_ascent(source: np.ndarray, bases: tuple, n2: float,
     ub, sweeps, converged).
     """
     us = [u.copy() for u in bases]
-    eyes = [np.eye(u.shape[-1], dtype=complex) for u in us]
+    dims = [u.shape[-1] for u in us]
+    eyes = [np.eye(d, dtype=complex) for d in dims]
+    left, right = _paired_positions(*dims)
+    flat_pairs = left * len(source) + right
+
+    def objective(rotated):
+        # gamma at the identity frame; take() keeps each row's pairs
+        # contiguous, so a row sums them in the order a single matrix does
+        return _gamma_of_pairs(rotated.reshape(len(rotated), -1).take(flat_pairs, axis=-1), n2)
+
     states = _dense_rotate(source, *us)
-    f = _form_gamma(states, *eyes, n2)
+    f = objective(states)
     count = len(f)
     sweeps = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
@@ -419,11 +490,11 @@ def _lockstep_ascent(source: np.ndarray, bases: tuple, n2: float,
         f_start = f[active]
         f_act = f_start
         pair = [u[active] for u in us]
-        at_zero = np.zeros(active.size)
-        for side, eye in enumerate(eyes):
-            for anchors in _generator_anchors(len(eye)):
-                line = _coordinate_line(state, eyes, side, anchors, n2)
-                t, f_act = _lockstep_line_max(line, at_zero, f_act, _GRID_POINTS)
+        for side, d in enumerate(dims):
+            for gen, anchors in enumerate(_generator_anchors(d)):
+                along = _coordinate_line(state, *dims, side, gen, n2)
+                t, f_act = _lockstep_line_max(lambda t: along(_trig_basis(t)),
+                                              along(_GRID_BASIS), f_act)
                 step = list(eyes)
                 step[side] = (anchors[0] + anchors[1] * np.cos(t)[:, None, None]
                               + anchors[2] * np.sin(t)[:, None, None])
@@ -432,7 +503,7 @@ def _lockstep_ascent(source: np.ndarray, bases: tuple, n2: float,
         for u, p in zip(us, pair):
             u[active] = p
         states[active] = state = _dense_rotate(source, *pair)
-        f_act = _form_gamma(state, *eyes, n2)
+        f_act = objective(state)
         f[active] = f_act
         done = f_act - f_start <= _SWEEP_TOL
         converged[active[done]] = True
@@ -455,11 +526,17 @@ def _restart_batch(state: PureState | DensityOperator, opts: OptimizerOptions):
         _, rot = schmidt_rotation(state)
         fixed.append((rot.u_a, rot.u_b))
     rngs = [np.random.default_rng([opts.seed, i]) for i in range(len(fixed), opts.restarts)]
-    draws = [[_complex_gaussian(rng, (d, d)) for d in (dims.m, dims.n)] for rng in rngs]
-    bases = []
-    for side, d in enumerate((dims.m, dims.n)):
-        gauss = np.array([draw[side] for draw in draws]).reshape(-1, d, d)
-        stack = np.concatenate([np.array([f[side] for f in fixed]), _haar_from_gaussian(gauss)])
+    # One draw per restart, in random_local_unitary's order: the real and
+    # then the imaginary parts of u_a's Gaussian matrix, then of u_b's.
+    sides = (dims.m, dims.n)
+    size = 2 * sum(d * d for d in sides)
+    gauss = np.array([rng.standard_normal(size) for rng in rngs]).reshape(len(rngs), size)
+    bases, start = [], 0
+    for side, d in enumerate(sides):
+        parts = gauss[:, start:start + 2 * d * d].reshape(-1, 2, d, d)
+        start += 2 * d * d
+        draws = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+        stack = np.concatenate([np.array([f[side] for f in fixed]), _haar_from_gaussian(draws)])
         _check_unitary(("u_a", "u_b")[side], stack)
         bases.append(stack)
     return tuple(bases)

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import BipartiteDims, _quadruple_arrays, coeff_quadruples
-from .states import DensityOperator, PureState, schmidt
+from .states import DensityOperator, PureState, SchmidtDecomposition, schmidt
 
 #: Named normalization presets.
 #:  - "paper-2x3" (n2=2): the convention under which the qubit-qutrit
@@ -208,13 +208,16 @@ def concurrence_2x3(psi: PureState) -> float:
     return concurrence_general(psi, prefactor=2.0)
 
 
-def gamma_schmidt(psi: PureState, cfg: MeasureConfig = PAPER_2X3) -> float:
+def gamma_schmidt(psi: PureState | SchmidtDecomposition,
+                  cfg: MeasureConfig = PAPER_2X3) -> float:
     """Gamma evaluated in the Schmidt basis: sqrt(n2 * sum_{i<j} l_i * l_j).
 
     In the Schmidt basis the amplitude matrix is diagonal, so the only
     surviving coefficient pairs are the diagonal products.  With n2 = 4
-    this equals I-concurrence identically.
+    this equals I-concurrence identically.  ``psi`` may be passed as its
+    Schmidt decomposition, so a caller that has one does not decompose again.
     """
-    lam = np.array(schmidt(psi).coefficients)
+    dec = psi if isinstance(psi, SchmidtDecomposition) else schmidt(psi)
+    lam = np.array(dec.coefficients)
     pair_sum = (float(lam.sum()) ** 2 - float(np.sum(lam**2))) / 2.0
     return math.sqrt(cfg.n2 * max(0.0, pair_sum))

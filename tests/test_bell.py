@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 
@@ -17,7 +18,7 @@ from bellgamma.bell import (
     _quadruple_columns,
     _target_probabilities,
 )
-from bellgamma.linalg import coeff_quadruples
+from bellgamma.linalg import coeff_quadruples, pair_index
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -145,6 +146,41 @@ def test_reduced_plan_2x3_named_projectors():
     )
     assert tuple(sorted((psi_idx, phi56_idx))) in plan.reduced.non_orthogonal_pairs
     assert plan.reduced.notes
+
+
+def _plan_restricted_to(plan, positions):
+    """``plan`` measuring only the targets at the given (row, col) positions."""
+    targets = tuple(t for t in plan.targets if (t.row, t.col) in positions)
+    assert len(targets) == len(positions)
+    return dataclasses.replace(plan, targets=targets)
+
+
+#: Exact-probability estimates of the named sextet on the zeroed states of
+#: random_pure(2x3, seed), seeds 0 to 2.
+SEXTET_ESTIMATES = (0.3342114631064658, 0.23694443808940394, 0.17746100918833688)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reduced_2x3_plan_suffices_after_the_zeroing_rotation(seed):
+    # Positions missing from a plan count as zero coefficients.  After
+    # zero_a11_a23 the reduced positions carry all of gamma, so their three
+    # projector pairs give the concurrence; the named sextet addresses (1,6)
+    # in place of (2,4) and falls short.
+    dims = bg.BipartiteDims(2, 3)
+    psi = bg.random_pure(dims, seed)
+    zeroed, _ = bg.zero_a11_a23(psi)
+    plan = bg.plan_measurement(dims)
+    concurrence = bg.concurrence_2x3(psi)
+    reduced = _plan_restricted_to(plan, set(plan.reduced.positions))
+    assert abs(bg.simulate_shots(zeroed, reduced, exact=True).total - concurrence) <= 1e-15
+    sextet_positions = {
+        (pair_index(b.k, b.p, dims), pair_index(b.l, b.q, dims))
+        for b in plan.reduced.projectors
+    }
+    assert sextet_positions == {(1, 6), (3, 5), (3, 4)}
+    sextet = bg.simulate_shots(zeroed, _plan_restricted_to(plan, sextet_positions), exact=True)
+    assert sextet.total == pytest.approx(SEXTET_ESTIMATES[seed], rel=1e-12)
+    assert concurrence - sextet.total > 0.06
 
 
 def test_plan_notes_odd_joint_dimension():
@@ -350,6 +386,8 @@ def _reference_estimate(plan, hats, shots, cfg=bg.PAPER_2X3):
 
 def _reference_table(state, shots_list, reps, seed, phase_rotation=None):
     rho = bg.pure_to_density(state) if isinstance(state, bg.PureState) else state
+    if phase_rotation is not None:
+        rho = bg.apply_local_density(rho, phase_rotation)
     truth = bg.gamma(rho, bg.PAPER_2X3).total
     rows = []
     medians = {}

@@ -144,6 +144,22 @@ def test_non_finite_density_file_exits_2(capsys, tmp_path, command):
     assert "finite" in err
 
 
+def test_pure_measure_decomposes_the_state_once(capsys, monkeypatch, product_file):
+    # gamma_schmidt and the separability flag read one Schmidt decomposition.
+    real, calls = bg.states.schmidt, []
+
+    def counting(psi):
+        calls.append(psi)
+        return real(psi)
+
+    for module in (bellgamma.cli, bg.measures, bg.local_unitary):
+        monkeypatch.setattr(module, "schmidt", counting)
+    code, out, _ = _run(capsys, ["measure", product_file])
+    assert code == 0
+    assert len(calls) == 1
+    assert _parse_csv(out)[0]["flags"] == "separable-by-gamma-criterion"
+
+
 def test_measure_json_output(capsys, bell_file):
     code, out, _ = _run(capsys, ["measure", bell_file, "--output", "json"])
     assert code == 0
@@ -383,6 +399,28 @@ def test_simulate_mixed_with_rotation_file(capsys, tmp_path):
     )
     assert code == 0
     assert len(_parse_csv(out)) == 2
+
+
+def test_simulate_measures_error_against_gamma_of_the_rotated_state(capsys, tmp_path):
+    # The projections read the rotated state, whose gamma (0.34061) is not
+    # the input's (0.38543): the error must be taken against the former.
+    dims = bg.BipartiteDims(2, 3)
+    psi = bg.random_pure(dims, 3)
+    u = bg.random_local_unitary(dims, 11)
+    path, rot = tmp_path / "pure.qstate.json", tmp_path / "rot.json"
+    bg.save_state(path, psi)
+    rot.write_text(json.dumps({"u_a": _matrix_to_pairs(u.u_a), "u_b": _matrix_to_pairs(u.u_b)}))
+    code, out, _ = _run(
+        capsys,
+        ["simulate", str(path), "--shots", "1000000000", "--reps", "1",
+         "--phase-rotation", str(rot)],
+    )
+    assert code == 0
+    (row,) = _parse_csv(out)
+    rotated = bg.gamma_pure(bg.apply_local(psi, u)).total
+    assert abs(rotated - bg.gamma_pure(psi).total) > 0.04
+    assert float(row["abs_error"]) < 1e-4
+    assert float(row["abs_error"]) == pytest.approx(abs(float(row["gamma_hat"]) - rotated))
 
 
 @pytest.mark.parametrize(

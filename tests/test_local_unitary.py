@@ -13,14 +13,18 @@ from bellgamma.local_unitary import (
     _SWEEP_TOL,
     SWEEP_OPTS,
     _coordinate_line,
+    _dense_form,
     _dense_rotate,
-    _form_gamma,
     _generator_anchors,
+    _grid_offsets,
+    _line_table,
     _lockstep_ascent,
     _lockstep_line_max,
     _matmul,
     _restart_batch,
+    _trig_basis,
 )
+from bellgamma.measures import _gamma_of_pairs
 
 QUICK_OPTS = bg.OptimizerOptions(restarts=3, max_sweeps=12)
 
@@ -219,20 +223,20 @@ def test_maximize_gamma_deterministic():
     assert bg.matrices_close(r1.best_unitary.u_a, r2.best_unitary.u_a, tol=0.0)
 
 
-def _reference_line_max(f1d, x0, f0, points, trace=None):
-    """The line search of one restart on its own, probe by probe.
+def _reference_line_max(f1d, f0, points, trace=None):
+    """The line search of one restart on its own, probe by probe, from 0.
 
     Python floats and branches stand in for the batched search's arrays and
     masks; each value goes through the same floating-point operations.  The
-    grid scan keeps the first best point, with the incumbent as point 0.
-    Each parabolic step takes the vertex of the parabola through the
-    bracket, kept only if it falls strictly inside.  ``trace`` collects each
-    step's outcome.
+    grid scan keeps the first best point, with the incumbent (0, f0) as
+    point 0.  Each parabolic step takes the vertex of the parabola through
+    the bracket, kept only if it falls strictly inside.  ``trace`` collects
+    each step's outcome.
     """
     offsets = (2.0 * math.pi * np.fft.fftfreq(points)).tolist()
-    values = [f0] + [f1d(x0 + d) for d in offsets[1:]]
+    values = [f0] + [f1d(d) for d in offsets[1:]]
     best = max(range(points), key=values.__getitem__)
-    x, fx = x0 + offsets[best], values[best]
+    x, fx = offsets[best], values[best]
     # bracket ends as offsets from x, with their values
     lo, hi = -offsets[1], offsets[1]
     f_lo, f_hi = values[best - 1], values[(best + 1) % points]
@@ -263,26 +267,33 @@ def _reference_line_max(f1d, x0, f0, points, trace=None):
     return x, fx
 
 
+def _objective(start, ua, ub, n2):
+    """The reference objective: gamma of each row of ``start`` rotated by
+    (ua, ub), through the dense paired form."""
+    return _gamma_of_pairs(_dense_form(start, ua, ub, ua, ub), n2)
+
+
 def _reference_ascent(source, base, n2, opts):
     """Coordinate ascent of one restart on its own: (value, sweeps, converged).
 
     ``base`` holds the one restart's (u_a, u_b) as batches of one.  Each
     probe goes through the same coordinate line form as the lockstep search,
     one probe at a time, and the state and the factor move by each accepted
-    rotation through the same products; a sweep's value is the objective
-    read from the density matrix ``source`` at its unitaries.
+    rotation through the same products; a sweep's value is the reference
+    objective read from the density matrix ``source`` at its unitaries.
     """
     us = list(base)
-    eyes = [np.eye(u.shape[-1], dtype=complex) for u in us]
+    dims = [u.shape[-1] for u in us]
+    eyes = [np.eye(d, dtype=complex) for d in dims]
     state = _dense_rotate(source, *us)
-    f = float(_form_gamma(state, *eyes, n2)[0])
+    f = float(_objective(state, *eyes, n2)[0])
     for sweep in range(1, opts.max_sweeps + 1):
         f_start = f
-        for side, eye in enumerate(eyes):
-            for anchors in _generator_anchors(len(eye)):
-                line = _coordinate_line(state, eyes, side, anchors, n2)
+        for side, d in enumerate(dims):
+            for gen, anchors in enumerate(_generator_anchors(d)):
+                line = _coordinate_line(state, *dims, side, gen, n2)
                 t, f = _reference_line_max(
-                    lambda t: float(line(np.array([t]))[0]), 0.0, f, _GRID_POINTS,
+                    lambda t: float(line(_trig_basis(np.array([t])))[0]), f, _GRID_POINTS,
                 )
                 step = list(eyes)
                 at = np.full((1, 1, 1), t)
@@ -290,7 +301,7 @@ def _reference_ascent(source, base, n2, opts):
                 state = _dense_rotate(state, *step)
                 us[side] = _matmul(step[side], us[side])
         state = _dense_rotate(source, *us)
-        f = float(_form_gamma(state, *eyes, n2)[0])
+        f = float(_objective(state, *eyes, n2)[0])
         if f - f_start <= _SWEEP_TOL:
             return f, sweep, True
     return f, opts.max_sweeps, False
@@ -306,20 +317,22 @@ def test_lockstep_line_max_stops_each_row_where_it_would_stop_alone():
     smooth, kinked = rng.uniform(0, 1, rows), rng.uniform(0, 1, rows)
     smooth[-1] = kinked[-1] = 0.0
 
-    def f(x, r=slice(None)):
+    def f(t, r=slice(None)):
+        x = x0[r] + t
         return (smooth[r] * np.cos(x - shift[r])
                 - kinked[r] * np.abs(np.sin((x - shift[r]) / 2.0)))
 
     traces = set()
     for points in (5, 8, 32):
-        xs, fs = _lockstep_line_max(f, x0, f(x0), points)
+        grid = f(_grid_offsets(points)[1:, None])
+        ts, fs = _lockstep_line_max(f, grid, f(0.0))
         for r in range(rows):
             trace = []
-            x_ref, f_ref = _reference_line_max(
-                lambda x: float(f(x, r)), x0[r], float(f(x0[r], r)), points, trace
+            t_ref, f_ref = _reference_line_max(
+                lambda t: float(f(t, r)), float(f(0.0, r)), points, trace
             )
-            assert abs(xs[r] - x_ref) <= 1e-12 and abs(fs[r] - f_ref) <= 1e-12
-            assert fs[r] >= f(x0[r], r)
+            assert abs(ts[r] - t_ref) <= 1e-12 and abs(fs[r] - f_ref) <= 1e-12
+            assert fs[r] >= f(0.0, r)
             traces.add(tuple(trace))
     assert len(traces) > 2
     assert {"moved", "trimmed", "discarded"} <= {o for t in traces for o in t}
@@ -328,8 +341,11 @@ def test_lockstep_line_max_stops_each_row_where_it_would_stop_alone():
 def test_lockstep_line_max_finds_a_smooth_peak():
     rng = np.random.default_rng(1)
     shift, x0 = rng.uniform(-np.pi, np.pi, 8), rng.uniform(-np.pi, np.pi, 8)
-    xs, fs = _lockstep_line_max(lambda x: np.cos(x - shift), x0, np.cos(x0 - shift), 32)
-    assert np.max(np.abs(np.angle(np.exp(1j * (xs - shift))))) < 1e-6
+    def f(t):
+        return np.cos(x0 + t - shift)
+
+    ts, fs = _lockstep_line_max(f, f(_grid_offsets(32)[1:, None]), f(0.0))
+    assert np.max(np.abs(np.angle(np.exp(1j * (x0 + ts - shift))))) < 1e-6
     assert np.max(1.0 - fs) < 1e-12
 
 
@@ -392,14 +408,34 @@ def test_coordinate_line_equals_the_objective_at_the_moved_unitary(kind, dims):
     )
     eyes = [np.eye(m, dtype=complex), np.eye(n, dtype=complex)]
     for side, d in enumerate((m, n)):
-        for anchors in _generator_anchors(d):
+        for gen, anchors in enumerate(_generator_anchors(d)):
             t = rng.uniform(-4 * np.pi, 4 * np.pi, (5, 3))
-            along = _coordinate_line(current, eyes, side, anchors, n2)(t)
+            along = _coordinate_line(current, m, n, side, gen, n2)(_trig_basis(t))
             moved = list(eyes)
             moved[side] = _exp(anchors[2], t)
-            direct = _form_gamma(current, *moved, n2)
+            direct = _objective(current, *moved, n2)
             assert along.shape == t.shape
             assert np.max(np.abs(along - direct)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gathered_line_table_equals_the_dense_form_table(m, n):
+    # Every anchor row has at most one nonzero, one of 0, +-1 and +-i, so the
+    # gather does the dense form's arithmetic exactly: equal bit for bit.
+    dims = bg.BipartiteDims(m, n)
+    rho = bg.random_density(dims, 10 * m + n)
+    frames = [bg.random_local_unitary(dims, [m, n, r]) for r in range(3)]
+    current = _dense_rotate(
+        rho.mat, np.array([u.u_a for u in frames]), np.array([u.u_b for u in frames])
+    )
+    eyes = [np.eye(m, dtype=complex), np.eye(n, dtype=complex)]
+    for side, d in enumerate((m, n)):
+        for gen, anchors in enumerate(_generator_anchors(d)):
+            first, second = list(eyes), list(eyes)
+            first[side], second[side] = anchors[:, None, None], anchors[None, :, None]
+            dense = np.moveaxis(_dense_form(current, *first, *second), 2, 0)
+            assert np.array_equal(_line_table(current, m, n, side, gen), dense)
 
 
 @pytest.mark.parametrize("kind", ["pure", "density"])
@@ -409,8 +445,8 @@ def test_objective_is_gamma_of_the_rotated_state(kind, dims):
     state = _random_state(kind, d, 3)
     bases = _restart_batch(state, bg.OptimizerOptions(restarts=4, seed=1))
     u = bg.random_local_unitary(d, 2)
-    got = _form_gamma(_dense_rotate(_density_matrix(state), *bases), u.u_a, u.u_b,
-                      bg.PAPER_2X3.n2)
+    got = _objective(_dense_rotate(_density_matrix(state), *bases), u.u_a, u.u_b,
+                     bg.PAPER_2X3.n2)
     for ba, bb, value in zip(*bases, got):
         moved = bg.LocalUnitary(u.u_a @ ba, u.u_b @ bb)
         if kind == "pure":

@@ -349,6 +349,78 @@ def test_lockstep_line_max_finds_a_smooth_peak():
     assert np.max(1.0 - fs) < 1e-12
 
 
+def _trig_sum_family(rows):
+    """A seeded family of 2*pi-periodic lines for the line search: the first
+    ``rows`` of 64, returned as (f1d, grid values, incumbent values).
+
+    Row r is sum_k a_kr cos(kt) + b_kr sin(kt) - kink_r |sin((t - shift_r)/2)|
+    for k = 1..3: smooth every third row, kink-dominated every sixth.  Row 5
+    is constant, so no parabola through its bracket has a maximum.  The
+    vertex of a parabola through a bracket whose middle is its largest value
+    lies within half the bracket, so only an infinite value puts it outside:
+    row 13 has -inf at its lower bracket end.  Row 7's grid and row 11's
+    incumbent are NaN.
+    """
+    rng = np.random.default_rng(2024)
+    a, b = rng.standard_normal((2, 3, 64))
+    kink, shift = rng.uniform(0, 2, 64), rng.uniform(-math.pi, math.pi, 64)
+    kink[::3] = 0.0
+    a[:, 2::6] *= 0.05
+    b[:, 2::6] *= 0.05
+    a[:, 5] = b[:, 5] = kink[5] = 0.0
+    k = np.arange(1, 4)[:, None]
+    a, b, kink, shift = a[:, :rows], b[:, :rows], kink[:rows], shift[:rows]
+
+    def f(t):
+        x = np.asarray(t, dtype=float)[..., None, :] * k
+        return ((a * np.cos(x) + b * np.sin(x)).sum(axis=-2)
+                - kink * np.abs(np.sin((np.asarray(t) - shift) / 2.0)))
+
+    values = f(_grid_offsets(_GRID_POINTS)[:, None] + np.zeros(rows))
+    if rows > 13:
+        values[values[:, 13].argmax() - 1, 13] = -np.inf
+    if rows > 11:
+        values[0, 11] = np.nan
+    if rows > 7:
+        values[1:, 7] = np.nan
+    return f, values[1:], values[0]
+
+
+# sha256 of the line search's " "-joined float.hex of x and then f for the
+# first R rows of ``_trig_sum_family``, recorded with numpy 2.4 on x86-64.
+PINNED_LINE_SEARCHES = {
+    1: "cf98bf4adfcd6c49f4e205d5f4ddedbff2b55b1a64ece3e636486dc912c588f5",
+    4: "7b02b7f7d3ae63fe4d7685350af4aab8bce412c98938f14ce276e3562f6c5ba4",
+    8: "645403fb46d511b44e0c8726da66fc9382116113b400500236819b1715eaa4e5",
+    64: "988d16bf5d4648ad8ad8fe185ddf832294630b9a1868f9c882c81af3416c9872",
+}
+
+
+@pytest.mark.parametrize("rows", sorted(PINNED_LINE_SEARCHES))
+def test_lockstep_line_max_matches_its_pinned_result_bit_for_bit(rows):
+    x, fx = _lockstep_line_max(*_trig_sum_family(rows))
+    text = " ".join(float.hex(float(v)) for v in np.concatenate([x, fx]))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_LINE_SEARCHES[rows]
+
+
+def test_trig_sum_family_reaches_every_kind_of_parabolic_step():
+    f, grid, f0 = _trig_sum_family(64)
+    x, fx = _lockstep_line_max(f, grid, f0)
+    assert np.isnan(fx[[7, 11]]).all() and (x[[7, 11]] == _grid_offsets(_GRID_POINTS)[[1, 0]]).all()
+    # rows 5 and 13 discard every step and keep their best grid point
+    values = np.vstack([f0, grid])
+    for r in (5, 13):
+        assert x[r] == _grid_offsets(_GRID_POINTS)[values[:, r].argmax()]
+        assert fx[r] == values[:, r].max()
+    outcomes = set()
+    for r in set(range(64)) - {7, 11, 13}:
+        trace = []
+        _reference_line_max(lambda t: float(f(np.full(64, t))[r]), float(f0[r]),
+                            _GRID_POINTS, trace)
+        outcomes.update(trace)
+    assert outcomes == {"moved", "trimmed", "discarded"}
+
+
 # Short budgets leave some restarts unconverged while others stop, so values
 # are compared mid-path and the batch shrinks as restarts converge.
 BATCH_CASES = {
@@ -550,10 +622,16 @@ PINNED_SEARCHES = {
                       "9651cc2ac12407aeba587181072bebb2410b587b3ab4b2b228e98dac8b6ed4e4"),
     "density-2x3-1": ("0x1.7c962be4b9e00p-2", 48, False,
                       "e9bf3f525092e64efc8d0253497031e49a879d5c024dce059c37dc9636e97b69"),
+    "density-2x4-0": ("0x1.25d112c1dfbbcp-2", 48, False,
+                      "70c32e2fce654ac07a0fee4f476e5def800ecfcded4ac1faaad79985b06c10a2"),
     "density-3x3-0": ("0x1.1edc4dc35d237p-2", 48, False,
                       "18efa5f43b038822efd0a135004b6decfdd3ed4393c84e4486fba48281f81005"),
     "density-3x3-1": ("0x1.6fb278ecb4ee4p-2", 48, False,
                       "456b545ed0fb5f307c8979d59beb4c18ac0f30d679e824779d72d67aa631a23b"),
+    "density-4x2-0": ("0x1.3f7d289eb6877p-2", 48, False,
+                      "d816dc80230f120cd45106c1ffe73abf08b2220f77a2a71ab4e2d8f13a7d7dcd"),
+    "density-4x4-0": ("0x1.c1dd64438c10fp-3", 48, False,
+                      "1a5cddc4c0266da1314821a310490fbde1d3b8d237ffa4aecf4777bace482616"),
     "product-2x3": ("0x1.d1ed52076fbe9p-54", 8, True,
                     "256a67239abbff1a64f68c6643bd0a28926a2befbda5dac158c8c49059119f25"),
     "pure-2x3": ("0x1.99c530f0fec9cp-1", 37, False,

@@ -4,16 +4,20 @@
 usage: python scripts/make_example_states.py [OUT_DIR]   (default: examples/)
 """
 
+import argparse
 import pathlib
-import sys
 
 import numpy as np
 
 import bellgamma as bg
 
 
-def main() -> int:
-    out_dir = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path("examples")
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write five example .qstate.json files.")
+    parser.add_argument("out_dir", metavar="OUT_DIR", type=pathlib.Path, nargs="?",
+                        default=pathlib.Path("examples"),
+                        help="directory to write into (default: examples/)")
+    out_dir = parser.parse_args(argv).out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     dims = bg.BipartiteDims(2, 3)
 

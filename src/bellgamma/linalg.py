@@ -54,10 +54,10 @@ class BipartiteDims:
 
 #: Largest subsystem dimension a state file or ``conjecture --dims`` may
 #: name; library calls are not bounded.  The supremum search's largest
-#: temporary holds 3 R 2Q (MN)^2 complex numbers for R restarts and Q level
-#: quadruples: 48 MB at 5x5 with 8 restarts, 224 MB at 6x6 and 15.5 GB at
-#: 10x10.  One sweep of one restart took 0.13 s at 5x5 and 0.8 s at 6x6 (2
-#: cores), so the bound also keeps a density ``measure`` within a minute.
+#: temporary is the sweep-end rotation's (R, MN, MN, MN) product for R
+#: restarts: 2 MB at 5x5 with 8 restarts, 128 MB at 10x10.  A default
+#: density search took 1.4 s at 5x5 (2 cores), and the tests cover every
+#: dims up to 5x5.
 MAX_INPUT_DIM = 5
 
 

@@ -12,13 +12,15 @@ along a one-parameter subgroup exp(tX), X = E_ab - E_ba or i(E_ab + E_ba)
 for a level pair a<b, applied to the restart's current rotated state.
 exp(tX) = A0 + A1 cos t + A2 sin t with constant anchors, so each
 coefficient is a fixed combination of 1, cos t, sin t, cos^2 t, cos t sin t
-and sin^2 t.  A line's table of those combinations is a gather: every
-anchor has at most one nonzero per row, so each table entry is one entry of
-the rotated state times a constant 0, +-1 or +-i, read by one fancy index.
-Each probe of the line's search is one small product per restart, with no
+and sin^2 t.  Those coefficients are a gather: every anchor has at most one
+nonzero per row, so each coefficient is at most two entries of the rotated
+state times constants 0, +-1 or +-i, added, read by one fancy index.  Each
+probe of the line's search is one small product per restart, with no
 unitary or rotated state built per probe.  A line's search is one scan of a
 periodic grid, whose trigonometric basis is built once, followed by a few
-successive parabolic-interpolation steps, each step one probe per restart.
+successive parabolic-interpolation steps, each step one probe for all
+restarts and bracket bookkeeping restart by restart.  The accepted step
+rotates the state on the moved factor's axes only.
 """
 
 from __future__ import annotations
@@ -239,10 +241,6 @@ _GRID_POINTS = 32
 _PARABOLIC_STEPS = 3
 
 
-#: Selects the hi row of a line search's (lo, hi) bracket.
-_HI_END = np.array([[False], [True]])
-
-
 @lru_cache(maxsize=None)
 def _grid_offsets(points: int) -> np.ndarray:
     """Offsets of a uniform periodic grid of ``points`` points in
@@ -266,44 +264,51 @@ def _lockstep_line_max(f1d, grid: np.ndarray, f0: np.ndarray):
     A vertex that beats the middle point becomes the middle, and the old
     middle the bracket end on the far side; one that does not becomes the
     end on its own side.  The middle only ever moves to a larger value, so
-    the incumbent is never abandoned for a worse one.  Every step is
-    elementwise, so each row ends where it would end alone.
+    the incumbent is never abandoned for a worse one.
+
+    The grid argmax and each step's probe are one numpy call over all rows;
+    the bracket bookkeeping runs row by row on Python floats, each row in
+    the same floating-point operations it would see alone.  On a handful of
+    rows that beats whole-array arithmetic, whose cost is mostly per call:
+    at 8 rows (the ``measure`` default; ``conjecture`` runs 4) the loop
+    costs about a third of the array version, and the two break even near
+    32 rows.
     """
     points = len(grid) + 1
     offsets = _grid_offsets(points)
-    count = len(f0)
     values = np.concatenate([f0[None], grid])
     best = values.argmax(axis=0)
-    rows = np.arange(count)
-    x, fx = offsets[best], values[best, rows]
+    rows = np.arange(len(f0))
+    x, fx = offsets[best].tolist(), values[best, rows].tolist()
     # bracket ends (lo, hi) as offsets from x, with their values
-    ends = np.empty((2, count))
-    ends[0], ends[1] = -offsets[1], offsets[1]
-    f_ends = values[np.array([best - 1, (best + 1) % points]), rows]
+    lo, hi = [-float(offsets[1])] * len(x), [float(offsets[1])] * len(x)
+    f_lo, f_hi = values[best - 1, rows].tolist(), values[(best + 1) % points, rows].tolist()
     for _ in range(_PARABOLIC_STEPS):
-        g = fx - f_ends[::-1]  # (fx - f_hi, fx - f_lo)
-        sq = ends * ends * g
-        num = 0.5 * (sq[0] - sq[1])
-        cross = ends * g
-        den = cross[0] - cross[1]
-        bound = ends * den
-        # num / den strictly inside (lo, hi); false as well when den >= 0,
-        # where the parabola has no maximum, and when a value is NaN
-        inside = (num < bound[0]) & (num > bound[1])
-        step = np.divide(num, den, out=np.zeros(count), where=inside)
-        f_step = f1d(x + step)
-        moved = inside & (f_step > fx)
-        # Of lo < min(step, 0) < max(step, 0) < hi the better inner point is
-        # the new middle, so exactly one end moves: the one on the step's
-        # side unless the step moved, when the old middle replaces the other.
-        at = inside & (((step < 0.0) != moved) != _HI_END)
-        np.copyto(ends, np.where(moved, 0.0, step), where=at)
-        np.copyto(f_ends, np.where(moved, fx, f_step), where=at)
-        shift = np.where(moved, step, 0.0)
-        x += shift
-        np.copyto(fx, f_step, where=moved)
-        ends -= shift
-    return x, fx
+        steps = []
+        for r in range(len(x)):
+            g_hi, g_lo = fx[r] - f_hi[r], fx[r] - f_lo[r]
+            num = 0.5 * (lo[r] * lo[r] * g_hi - hi[r] * hi[r] * g_lo)
+            den = lo[r] * g_hi - hi[r] * g_lo
+            # num / den strictly inside (lo, hi); false as well when den >= 0,
+            # where the parabola has no maximum, and when a value is NaN
+            steps.append(num / den if lo[r] * den > num > hi[r] * den else None)
+        probe = f1d(np.array([xr if sr is None else xr + sr for xr, sr in zip(x, steps)]))
+        for r, (step, f_step) in enumerate(zip(steps, probe.tolist())):
+            if step is None:
+                continue
+            if f_step > fx[r]:
+                # the step is the new middle; the old one replaces the far end
+                if step < 0.0:
+                    hi[r], f_hi[r] = 0.0, fx[r]
+                else:
+                    lo[r], f_lo[r] = 0.0, fx[r]
+                x[r], fx[r] = x[r] + step, f_step
+                lo[r], hi[r] = lo[r] - step, hi[r] - step
+            elif step < 0.0:
+                lo[r], f_lo[r] = step, f_step
+            else:
+                hi[r], f_hi[r] = step, f_step
+    return np.array(x), np.array(fx)
 
 
 # The paired form.  gamma reads 2Q paired coefficients (Q quadruples, plus
@@ -311,9 +316,9 @@ def _lockstep_line_max(f1d, grid: np.ndarray, f0: np.ndarray):
 # each is a value of a form that is linear in a first copy of the unitary and
 # conjugate-linear in a second: _dense_form(mat, xa, xb, ya, yb) with
 # (xa, xb) = (ya, yb) = (ua, ub).  The search reads each line's values of
-# the form by a gather (_line_table); _dense_form is the reference it equals.
-# Every product below is a broadcast multiply-and-sum over the last axis, so
-# a row's value does not depend on the batch it is computed in.
+# the form by a gather (_line_gather); _dense_form is the reference it
+# equals.  Every product below is a broadcast multiply-and-sum, so a row's
+# value does not depend on the batch it is computed in.
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -327,6 +332,27 @@ def _dense_rotate(mat: np.ndarray, ua, ub) -> np.ndarray:
     size = w.shape[-1] * w.shape[-2]
     w = w.reshape(*w.shape[:-4], size, size)
     return _matmul(_matmul(w, mat), w.conj().swapaxes(-1, -2))
+
+
+def _rotate_factor(mat: np.ndarray, step: np.ndarray, side: int, m: int, n: int) -> np.ndarray:
+    """W mat W^H per row with W = kron(step, I) (side 0) or kron(I, step)
+    (side 1), on the moved factor's axes of the (R, m, n, m, n) view.
+
+    A step exp(tX) has at most two nonzeros per row, so every output entry
+    sums at most two nonzero products, each the one ``_dense_rotate`` forms
+    for it, in the same operand order.  Its value cannot depend on the
+    order of the sum, and the result equals ``_dense_rotate``'s bit for bit
+    (up to the sign of a zero).
+    """
+    view = mat.reshape(-1, m, n, m, n)
+    conj = step.conj()
+    if side == 0:
+        rows = (step[:, :, :, None, None, None] * view[:, None]).sum(axis=2)
+        out = (rows[:, :, :, None] * conj[:, None, None, :, :, None]).sum(axis=4)
+    else:
+        rows = (step[:, None, :, :, None, None] * view[:, :, None]).sum(axis=3)
+        out = (rows[..., None, :] * conj[:, None, None, None]).sum(axis=-1)
+    return out.reshape(mat.shape)
 
 
 def _dense_form(mat: np.ndarray, xa, xb, ya, yb) -> np.ndarray:
@@ -366,10 +392,18 @@ def _generator_anchors(d: int) -> np.ndarray:
     return anchors
 
 
+#: Which 3x3 table entries form(A_j, A_k) of a line make each of its six
+#: coefficients: the constant and those of cos t, sin t, cos^2 t, cos t sin t
+#: and sin^2 t.  A coefficient of one entry lists it twice, the second time
+#: at weight 0.
+_COEFFICIENT_TERMS = (((0, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 2), (2, 0)),
+                      ((1, 1), (1, 1)), ((1, 2), (2, 1)), ((2, 2), (2, 2)))
+
+
 @lru_cache(maxsize=None)
 def _line_gather(m: int, n: int, side: int, gen: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the table of a coordinate line reads the rotated state, and with
-    what weight.
+    """Where the coefficients of a coordinate line read the rotated state, and
+    with what weight.
 
     The line moves factor ``side`` along exp(tX) with the anchors
     (A0, A1, A2) = ``_generator_anchors(d)[gen]``.  Each anchor has at most
@@ -377,9 +411,11 @@ def _line_gather(m: int, n: int, side: int, gen: int) -> tuple[np.ndarray, np.nd
     I (x) A_j (side 1) has at most one too: w_j[l], one of 0, 1, -1 and i, in
     column c_j[l].  The paired form of two such joints is therefore
     form(A_j, A_k) = w_j[left] conj(w_k[right]) mat[c_j[left], c_k[right]],
-    every product exact.  Returns the flat indices c_j[left] MN + c_k[right]
-    into an (MN)^2 matrix and the weights w_j[left] conj(w_k[right]), each of
-    shape (3, 3, 2Q) and read-only.
+    every product exact.  A line's coefficients are sums of at most two such
+    entries (``_COEFFICIENT_TERMS``).  Returns the flat indices
+    c_j[left] MN + c_k[right] into an (MN)^2 matrix and the weights
+    w_j[left] conj(w_k[right]) of both terms, each of shape (2, 6, 2Q) and
+    read-only.
     """
     eye = np.eye((n, m)[side])
     joint = np.array([np.kron(a, eye) if side == 0 else np.kron(eye, a)
@@ -389,16 +425,12 @@ def _line_gather(m: int, n: int, side: int, gen: int) -> tuple[np.ndarray, np.nd
     left, right = _paired_positions(m, n)
     index = column[:, None, left] * (m * n) + column[None, :, right]
     weight = weight[:, None, left] * weight[None, :, right].conj()
+    j, k = np.array(_COEFFICIENT_TERMS).T
+    index, weight = index[j, k], weight[j, k]
+    weight[1, (j[0] == j[1]) & (k[0] == k[1])] = 0.0
     index.setflags(write=False)
     weight.setflags(write=False)
     return index, weight
-
-
-def _line_table(state: np.ndarray, m: int, n: int, side: int, gen: int) -> np.ndarray:
-    """form(A_j, A_k) of line ``gen`` of factor ``side`` for every row of
-    ``state``, gathered (``_line_gather``): shape (..., 3, 3, 2Q)."""
-    index, weight = _line_gather(m, n, side, gen)
-    return state.reshape(*state.shape[:-2], -1).take(index, axis=-1) * weight
 
 
 def _trig_basis(t: np.ndarray) -> np.ndarray:
@@ -428,20 +460,21 @@ def _coordinate_line(state: np.ndarray, m: int, n: int, side: int, gen: int,
     The paired form is linear in the moving factor and conjugate-linear in
     it again, so every coefficient is the fixed combination
     sum_jk form(A_j, A_k) g_j g_k with g = (1, cos t, sin t) and (A0, A1, A2)
-    the anchors of exp(tX).  A line's table form(A_j, A_k) is a gather:
-    one fancy index into the state and one multiply by constant weights of
-    0, +-1 and +-i (``_line_gather``), so it equals ``_dense_form``'s table
-    bit for bit.  The returned function maps a trigonometric basis of shape
+    the anchors of exp(tX).  The constant and the five coefficients are one
+    gather: one fancy index into the state, one multiply by constant
+    weights of 0, +-1 and +-i and one add of two terms (``_line_gather``),
+    so each equals its sum of ``_dense_form``'s table entries bit for bit.
+    The returned function maps a trigonometric basis of shape
     (..., 1, 5) (``_trig_basis``) to gamma of shape (...), with one
     (..., 1, 5) @ (5, 2Q) product per row.
     """
-    g = _line_table(state, m, n, side, gen)
-    constant = g[..., 0, 0, :]
+    index, weight = _line_gather(m, n, side, gen)
+    terms = state.reshape(*state.shape[:-2], -1).take(index, axis=-1) * weight
+    coef = terms[..., 0, :, :] + terms[..., 1, :, :]
+    constant = coef[..., 0, :]
     # cos t, sin t, cos^2 t, cos t sin t, sin^2 t; the complex coefficients
     # are read as interleaved (real, imag) pairs, so the product is real.
-    coef = np.stack([g[..., 0, 1, :] + g[..., 1, 0, :], g[..., 0, 2, :] + g[..., 2, 0, :],
-                     g[..., 1, 1, :], g[..., 1, 2, :] + g[..., 2, 1, :], g[..., 2, 2, :]],
-                    axis=-2).view(float)
+    coef = coef[..., 1:, :].view(float)
 
     def along(basis: np.ndarray) -> np.ndarray:
         pairs = (basis @ coef).view(complex)[..., 0, :] + constant
@@ -459,7 +492,8 @@ def _lockstep_ascent(source: np.ndarray, bases: tuple, n2: float,
     of each factor (``_generator_anchors``): the line is set up on the
     restart's current rotated state (``_coordinate_line``) and maximized by
     ``_lockstep_line_max``, and the state and the factor are then rotated by
-    the accepted exp(tX).  At a sweep's end the state and the value are read
+    the accepted exp(tX), the state on the moved factor's axes only
+    (``_rotate_factor``).  At a sweep's end the state and the value are read
     again from ``source`` at the accumulated unitaries, so rounding cannot
     build up; a restart leaves the batch once a full sweep improves that
     value by at most ``_SWEEP_TOL``.  Returns per-restart arrays (value, ua,
@@ -467,7 +501,6 @@ def _lockstep_ascent(source: np.ndarray, bases: tuple, n2: float,
     """
     us = [u.copy() for u in bases]
     dims = [u.shape[-1] for u in us]
-    eyes = [np.eye(d, dtype=complex) for d in dims]
     left, right = _paired_positions(*dims)
     flat_pairs = left * len(source) + right
 
@@ -495,11 +528,10 @@ def _lockstep_ascent(source: np.ndarray, bases: tuple, n2: float,
                 along = _coordinate_line(state, *dims, side, gen, n2)
                 t, f_act = _lockstep_line_max(lambda t: along(_trig_basis(t)),
                                               along(_GRID_BASIS), f_act)
-                step = list(eyes)
-                step[side] = (anchors[0] + anchors[1] * np.cos(t)[:, None, None]
-                              + anchors[2] * np.sin(t)[:, None, None])
-                state = _dense_rotate(state, *step)
-                pair[side] = _matmul(step[side], pair[side])
+                step = (anchors[0] + anchors[1] * np.cos(t)[:, None, None]
+                        + anchors[2] * np.sin(t)[:, None, None])
+                state = _rotate_factor(state, step, side, *dims)
+                pair[side] = _matmul(step, pair[side])
         for u, p in zip(us, pair):
             u[active] = p
         states[active] = state = _dense_rotate(source, *pair)

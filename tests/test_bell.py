@@ -183,6 +183,26 @@ def test_reduced_2x3_plan_suffices_after_the_zeroing_rotation(seed):
     assert concurrence - sextet.total > 0.06
 
 
+@pytest.mark.parametrize("dims", ["2x2", "2x3", "3x2", "3x3", "3x4", "4x4", "2x5", "5x5"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_schmidt_frame_positions_suffice_within_the_papers_projection_bound(dims, seed):
+    # In the Schmidt frame amp is diagonal, so only the plus coefficients
+    # at (kk, ll), k < l <= K = min(M, N), are nonzero.  Their K(K-1)
+    # projectors give gamma_schmidt, within the paper's M(M-1)N(N-1)/2.
+    d = bg.BipartiteDims.parse(dims)
+    psi = bg.random_pure(d, seed)
+    rotated, _ = bg.schmidt_rotation(psi)
+    size = min(d.m, d.n)
+    positions = {(pair_index(k, k, d), pair_index(l, l, d))
+                 for k in range(1, size + 1) for l in range(k + 1, size + 1)}
+    plan = _plan_restricted_to(bg.plan_measurement(d), positions)
+    estimate = bg.simulate_shots(rotated, plan, exact=True)
+    assert abs(estimate.total - bg.gamma_schmidt(psi, bg.PAPER_2X3)) <= 1e-14
+    projectors = 2 * len(plan.targets)
+    assert projectors == size * (size - 1)
+    assert projectors <= d.m * (d.m - 1) * d.n * (d.n - 1) // 2
+
+
 def test_plan_notes_odd_joint_dimension():
     plan = bg.plan_measurement(bg.BipartiteDims(3, 3))
     assert any("odd" in note for note in plan.notes)

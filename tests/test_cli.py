@@ -710,3 +710,25 @@ def test_example_script_writes_to_the_git_ignored_examples_dir(capsys, tmp_path,
     assert script["main"]() == 0
     assert [p.parent for p in tmp_path.rglob("*.qstate.json")] == [tmp_path / "examples"] * 5
     assert "/examples/" in (REPO_ROOT / ".gitignore").read_text().splitlines()
+
+
+def test_example_script_help_exits_zero_and_writes_nothing(capsys, tmp_path, monkeypatch):
+    script = runpy.run_path(str(REPO_ROOT / "scripts" / "make_example_states.py"))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        script["main"](["--help"])
+    assert exc.value.code == 0
+    assert "OUT_DIR" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_example_script_writes_five_states_to_the_given_dir(capsys, tmp_path, monkeypatch):
+    script = runpy.run_path(str(REPO_ROOT / "scripts" / "make_example_states.py"))
+    monkeypatch.chdir(tmp_path)
+    assert script["main"](["out"]) == 0
+    names = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert names == sorted(f"{s}.qstate.json" for s in (
+        "bell_2x3", "product_2x3", "random_2x3", "mixed_2x3", "max_entangled_3x3"))
+    assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+    for name in names:
+        bg.load_state(tmp_path / "out" / name)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +18,15 @@ from bellgamma.local_unitary import (
     _dense_rotate,
     _generator_anchors,
     _grid_offsets,
-    _line_table,
+    _line_gather,
     _lockstep_ascent,
     _lockstep_line_max,
     _matmul,
     _restart_batch,
+    _rotate_factor,
     _trig_basis,
 )
+from bellgamma.linalg import MAX_INPUT_DIM
 from bellgamma.measures import _gamma_of_pairs
 
 QUICK_OPTS = bg.OptimizerOptions(restarts=3, max_sweeps=12)
@@ -494,7 +497,8 @@ def test_coordinate_line_equals_the_objective_at_the_moved_unitary(kind, dims):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_gathered_line_table_equals_the_dense_form_table(m, n):
     # Every anchor row has at most one nonzero, one of 0, +-1 and +-i, so the
-    # gather does the dense form's arithmetic exactly: equal bit for bit.
+    # gather does the dense form's arithmetic exactly, and each coefficient
+    # adds the same two table entries: equal bit for bit.
     dims = bg.BipartiteDims(m, n)
     rho = bg.random_density(dims, 10 * m + n)
     frames = [bg.random_local_unitary(dims, [m, n, r]) for r in range(3)]
@@ -506,8 +510,37 @@ def test_gathered_line_table_equals_the_dense_form_table(m, n):
         for gen, anchors in enumerate(_generator_anchors(d)):
             first, second = list(eyes), list(eyes)
             first[side], second[side] = anchors[:, None, None], anchors[None, :, None]
-            dense = np.moveaxis(_dense_form(current, *first, *second), 2, 0)
-            assert np.array_equal(_line_table(current, m, n, side, gen), dense)
+            g = np.moveaxis(_dense_form(current, *first, *second), 2, 0)
+            want = np.stack([g[:, 0, 0], g[:, 0, 1] + g[:, 1, 0], g[:, 0, 2] + g[:, 2, 0],
+                             g[:, 1, 1], g[:, 1, 2] + g[:, 2, 1], g[:, 2, 2]], axis=1)
+            index, weight = _line_gather(m, n, side, gen)
+            assert index.shape == weight.shape == (2, 6, len(g[0, 0, 0]))
+            terms = current.reshape(3, -1).take(index, axis=-1) * weight
+            assert np.array_equal(terms[:, 0] + terms[:, 1], want)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_factor_rotation_equals_the_dense_rotation(m, n):
+    # A step exp(tX) has at most two nonzeros per row, so each entry of the
+    # rotated state sums at most two nonzero products, the same ones the
+    # dense kron product forms: equal bit for bit.
+    dims = bg.BipartiteDims(m, n)
+    rho = bg.random_density(dims, 10 * m + n)
+    frames = [bg.random_local_unitary(dims, [n, m, r]) for r in range(3)]
+    current = _dense_rotate(
+        rho.mat, np.array([u.u_a for u in frames]), np.array([u.u_b for u in frames])
+    )
+    rng = np.random.default_rng(m * n)
+    eyes = [np.eye(m, dtype=complex), np.eye(n, dtype=complex)]
+    for side, d in enumerate((m, n)):
+        for anchors in _generator_anchors(d):
+            t = rng.uniform(-np.pi, np.pi, (3, 1, 1))
+            step = anchors[0] + anchors[1] * np.cos(t) + anchors[2] * np.sin(t)
+            joint = list(eyes)
+            joint[side] = step
+            assert np.array_equal(_rotate_factor(current, step, side, m, n),
+                                  _dense_rotate(current, *joint))
 
 
 @pytest.mark.parametrize("kind", ["pure", "density"])
@@ -656,6 +689,19 @@ def test_search_matches_its_pinned_result_bit_for_bit(name):
     digest = hashlib.sha256(u.u_a.tobytes() + u.u_b.tobytes()).hexdigest()
     got = (float.hex(report.best_gamma), report.iterations, report.converged, digest)
     assert got == PINNED_SEARCHES[name]
+
+
+def test_search_memory_peak_at_the_largest_input_dims():
+    # The largest temporary is the sweep-end rotation's (R, MN, MN, MN)
+    # product, 2 MB at 5x5 with 8 restarts; the traced peak was 2.8 MB.
+    rho = bg.random_density(bg.BipartiteDims(MAX_INPUT_DIM, MAX_INPUT_DIM), 0)
+    tracemalloc.start()
+    try:
+        bg.maximize_gamma(rho, bg.CONCURRENCE_MATCHED, bg.OptimizerOptions(max_sweeps=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_conjecture_sweep_rows_and_summary():

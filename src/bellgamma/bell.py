@@ -270,43 +270,43 @@ class ShotGammaEstimate:
     total: float
 
 
-def _target_probabilities(
-    state: PureState | DensityOperator,
-    targets: tuple[CoefficientTarget, ...],
-    phase_rotation: LocalUnitary | None,
-) -> np.ndarray:
-    """Exact outcome probabilities, clipped to [0, 1], as a (targets, 2)
-    array: column 0 for each target's plus projector, column 1 for its
-    minus projector.
-
-    The projector pair (|kp> +- |lq>)/sqrt(2) of the coefficient rho[r, c]
-    has outcome probabilities (rho[r, r] + rho[c, c])/2 +- Re rho[r, c], so
-    every target is one gather from the (rotated) density matrix.  Pure
-    input is phase-aligned per target: a diagonal phase on A level k makes
-    rho[r, c] real and non-negative and leaves the diagonal alone, so the
-    aligned probabilities use |rho[r, c]|.  Mixed input must come with
-    ``phase_rotation`` and uses Re rho[r, c] of the rotated matrix.
-    """
+def _measured_density(
+    state: PureState | DensityOperator, phase_rotation: LocalUnitary | None
+) -> DensityOperator:
+    """The density matrix the projections measure: the input, rotated by
+    ``phase_rotation`` when one is given.  Mixed input must come with one."""
     if isinstance(state, PureState):
-        mat = pure_to_density(state).mat
+        rho = pure_to_density(state)
     elif phase_rotation is None:
         raise ValueError(
             "mixed-state simulation requires an explicit phase rotation "
             "making the targeted coefficients real"
         )
     else:
-        mat = state.mat
-    if phase_rotation is not None:
-        phase_rotation.check_dims(state.dims)
-        w = phase_rotation.joint()
-        mat = w @ mat @ w.conj().T
+        rho = state
+    return rho if phase_rotation is None else apply_local_density(rho, phase_rotation)
 
-    rows = np.array([t.row - 1 for t in targets], dtype=np.intp)
-    cols = np.array([t.col - 1 for t in targets], dtype=np.intp)
+
+def _target_probabilities(
+    mat: np.ndarray, rows: np.ndarray, cols: np.ndarray, aligned: bool
+) -> np.ndarray:
+    """Exact outcome probabilities, clipped to [0, 1], as a (targets, 2)
+    array: column 0 for each target's plus projector, column 1 for its
+    minus projector.  Target i addresses rho[rows[i], cols[i]] (0-based,
+    see ``_plan_positions``).
+
+    The projector pair (|kp> +- |lq>)/sqrt(2) of the coefficient rho[r, c]
+    has outcome probabilities (rho[r, r] + rho[c, c])/2 +- Re rho[r, c], so
+    every target is one gather from the measured density matrix ``mat``
+    (see ``_measured_density``).  Pure input is phase-aligned per target
+    (``aligned``): a diagonal phase on A level k makes rho[r, c] real and
+    non-negative and leaves the diagonal alone, so the aligned probabilities
+    use |rho[r, c]|.  Mixed input uses Re rho[r, c] of the rotated matrix.
+    """
     diag = mat.diagonal().real
     mid = (diag[rows] + diag[cols]) / 2.0
     coeff = mat[rows, cols]
-    off = np.abs(coeff) if isinstance(state, PureState) else coeff.real
+    off = np.abs(coeff) if aligned else coeff.real
     return np.clip(np.stack([mid + off, mid - off], axis=1), 0.0, 1.0)
 
 
@@ -343,29 +343,40 @@ def _estimate(
     # float_power calls libm pow like the scalar ``** 2`` of
     # ShotTerm.contribution; an array's ``** 2`` computes x*x, which differs
     # from it in the last bit for some inputs.  The terms are summed left to
-    # right as the scalar loop did; np.sum's order depends on the layout.
+    # right, as the scalar loop does, by a cumulative sum; np.sum's order
+    # depends on the layout.
     sq = np.float_power(coeffs[..., 0] - coeffs[..., 1], 2.0)
-    acc = np.zeros(len(hats))
-    for j in range(sq.shape[1]):
-        acc = acc + sq[:, j]
-    return coeffs, np.sqrt(n2 * acc)
+    return coeffs, np.sqrt(n2 * np.cumsum(sq, axis=1)[:, -1])
 
 
 #: numpy draws binomial counts with the trial count as a C long.
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
-def _plan_targets(state: PureState | DensityOperator,
-                  plan: MeasurementPlan | None) -> tuple[CoefficientTarget, ...]:
-    """The targets of ``plan``, or of the full plan when none is given; no
-    plan is built for that, since only the targets are read."""
+def _plan_positions(
+    state: PureState | DensityOperator, plan: MeasurementPlan | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 0-based rows and columns of the coefficients ``plan`` targets,
+    and per quadruple the indices of its two targets (see
+    ``_quadruple_columns``).
+
+    Without a plan they are those of the full target list, ``_targets``
+    order, computed from the quadruples without building the targets or
+    the plan, since only their positions are read.
+    """
+    dims = state.dims
     if plan is None:
-        return _targets(state.dims)
-    if plan.dims != state.dims:
+        k, l, p, q = (np.array(coeff_quadruples(dims.m, dims.n), dtype=np.intp) - 1).T
+        rows = np.stack([k * dims.n + p, k * dims.n + q], axis=1).ravel()
+        cols = np.stack([l * dims.n + q, l * dims.n + p], axis=1).ravel()
+        return rows, cols, np.arange(len(rows)).reshape(-1, 2)
+    if plan.dims != dims:
         raise ValueError(
-            f"plan dims {plan.dims.label()} do not match state dims {state.dims.label()}"
+            f"plan dims {plan.dims.label()} do not match state dims {dims.label()}"
         )
-    return plan.targets
+    rows = np.array([t.row - 1 for t in plan.targets], dtype=np.intp)
+    cols = np.array([t.col - 1 for t in plan.targets], dtype=np.intp)
+    return rows, cols, _quadruple_columns(plan.targets, dims)[1]
 
 
 def _check_shots(shots_list) -> None:
@@ -396,13 +407,15 @@ def simulate_shots(
     the zeroed positions.  With ``exact=True`` the true probabilities are
     used unsampled (the infinite-shot limit).  Deterministic given ``seed``.
     """
-    targets = _plan_targets(state, plan)
+    rows, cols, pair_cols = _plan_positions(state, plan)
     if shots is None and plan is not None:
         shots = plan.shots_per_projector
     if not exact:
         _check_shots([shots])
 
-    probs = _target_probabilities(state, targets, phase_rotation)
+    probs = _target_probabilities(
+        _measured_density(state, phase_rotation).mat, rows, cols, isinstance(state, PureState)
+    )
     if exact:
         hats = probs
         se = np.zeros(len(probs))
@@ -411,9 +424,9 @@ def simulate_shots(
         hats = counts.reshape(probs.shape) / shots
         var = hats * (1.0 - hats) / shots
         se = 0.5 * np.sqrt(var[:, 0] + var[:, 1])
-    quads, cols = _quadruple_columns(targets, state.dims)
-    coeffs, totals = _estimate(hats[np.newaxis], cols, cfg.n2)
-    se = np.append(se, 0.0)[cols]
+    quads = coeff_quadruples(state.dims.m, state.dims.n)
+    coeffs, totals = _estimate(hats[np.newaxis], pair_cols, cfg.n2)
+    se = np.append(se, 0.0)[pair_cols]
 
     terms = tuple(
         ShotTerm(
@@ -464,14 +477,11 @@ def shot_error_table(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     _check_shots(shots_list)
-    targets = _plan_targets(state, plan)
-    rho = pure_to_density(state) if isinstance(state, PureState) else state
-    if phase_rotation is not None:
-        # the probabilities are read in the rotated frame, so gamma is too
-        rho = apply_local_density(rho, phase_rotation)
+    rows, cols, pair_cols = _plan_positions(state, plan)
+    # the probabilities are read in the rotated frame, so gamma is too
+    rho = _measured_density(state, phase_rotation)
     truth = gamma(rho, cfg).total
-    probs = _target_probabilities(state, targets, phase_rotation).ravel()
-    _, cols = _quadruple_columns(targets, state.dims)
+    probs = _target_probabilities(rho.mat, rows, cols, isinstance(state, PureState)).ravel()
     rows = []
     medians: dict[int, float] = {}
     for si, shots in enumerate(shots_list):
@@ -483,7 +493,7 @@ def shot_error_table(
                 for rep in range(reps)
             ]
         )
-        _, totals = _estimate(counts.reshape(reps, -1, 2) / shots, cols, cfg.n2)
+        _, totals = _estimate(counts.reshape(reps, -1, 2) / shots, pair_cols, cfg.n2)
         totals = totals.tolist()
         errs = [abs(total - truth) for total in totals]
         rows.extend(

@@ -153,7 +153,7 @@ def _add_state(parser: argparse.ArgumentParser) -> None:
 
 def _add_grid(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--grid", type=int, default=4, help="Fourier points per phase axis (>= 3)"
+        "--grid", type=int, default=4, help="Fourier points per phase axis (3 to 64)"
     )
 
 

@@ -493,11 +493,11 @@ def _lockstep_ascent(source: np.ndarray, bases: tuple, n2: float,
     restart's current rotated state (``_coordinate_line``) and maximized by
     ``_lockstep_line_max``, and the state and the factor are then rotated by
     the accepted exp(tX), the state on the moved factor's axes only
-    (``_rotate_factor``).  At a sweep's end the state and the value are read
-    again from ``source`` at the accumulated unitaries, so rounding cannot
-    build up; a restart leaves the batch once a full sweep improves that
-    value by at most ``_SWEEP_TOL``.  Returns per-restart arrays (value, ua,
-    ub, sweeps, converged).
+    (``_rotate_factor``; skipped after the sweep's last line).  At a sweep's
+    end the state and the value are read again from ``source`` at the
+    accumulated unitaries, so rounding cannot build up; a restart leaves the
+    batch once a full sweep improves that value by at most ``_SWEEP_TOL``.
+    Returns per-restart arrays (value, ua, ub, sweeps, converged).
     """
     us = [u.copy() for u in bases]
     dims = [u.shape[-1] for u in us]
@@ -511,6 +511,9 @@ def _lockstep_ascent(source: np.ndarray, bases: tuple, n2: float,
 
     states = _dense_rotate(source, *us)
     f = objective(states)
+    # the sweep end reads the state afresh from ``source``, so the last
+    # line's accepted step moves only the factor
+    last_line = (len(dims) - 1, len(_generator_anchors(dims[-1])) - 1)
     count = len(f)
     sweeps = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
@@ -530,7 +533,8 @@ def _lockstep_ascent(source: np.ndarray, bases: tuple, n2: float,
                                               along(_GRID_BASIS), f_act)
                 step = (anchors[0] + anchors[1] * np.cos(t)[:, None, None]
                         + anchors[2] * np.sin(t)[:, None, None])
-                state = _rotate_factor(state, step, side, *dims)
+                if (side, gen) != last_line:
+                    state = _rotate_factor(state, step, side, *dims)
                 pair[side] = _matmul(step, pair[side])
         for u, p in zip(us, pair):
             u[active] = p

@@ -21,9 +21,9 @@ trigonometric polynomial of degree one per axis, a uniform grid of G >= 3
 points per axis evaluates the integral exactly (up to roundoff); a change
 of variables to sum and difference phases is not needed and would not be
 invertible on the torus.  The factors at every grid angle of one level
-pair's phase form one stack; ``gamma_via_povm`` builds the stack of each
-A pair k<l and each B pair p<q once, and per quadruple a single einsum over
-both grid axes gives all grid x grid expectation values.
+pair's phase form one stack.  A call builds the stacks of every A pair k<l
+and every B pair p<q, and the grid weights, once; per A pair a single einsum
+then gives the grid x grid expectation values of all B pairs at once.
 
 The operators here are treated purely as Hermitian observables; positivity
 of delta is neither needed nor asserted.
@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import BipartiteDims, coeff_quadruples, level_pairs
+from .linalg import BipartiteDims, level_pairs
 from .measures import PAPER_2X3, MeasureConfig
 from .states import DensityOperator
 
@@ -48,6 +48,10 @@ TWO_PI = 2.0 * math.pi
 #: of the two factor operators and confirmed against a Bell state by the
 #: test suite.
 C_POVM = TWO_PI**4
+
+#: Largest accepted grid.  Any grid of 3 or more points is exact, so a finer
+#: one only costs time and O(grid**2) memory.
+MAX_GRID = 64
 
 
 def _validate_phases(name: str, phases: Mapping[tuple[int, int], float], d: int) -> None:
@@ -131,35 +135,60 @@ def _grid_angles(grid: int) -> np.ndarray:
     return TWO_PI * np.arange(grid) / grid
 
 
-def _grid_weights(angles: np.ndarray) -> tuple[list, list]:
-    """The e^(i(phi_A + phi_B)) and e^(i(phi_A - phi_B)) weights of every
-    grid point, as numpy scalars in row-major (A, B) order."""
-    w_plus = np.exp(1j * (angles[:, None] + angles[None, :]))
-    w_minus = np.exp(1j * (angles[:, None] - angles[None, :]))
-    return list(w_plus.ravel()), list(w_minus.ravel())
+def _pair_stacks(d: int, phase: np.ndarray) -> np.ndarray:
+    """The factor stacks of every level pair of a d-level side, shape
+    (P, G, d, d) in ``level_pairs(d)`` order: in stack i pair i's phase
+    takes the grid angles, ``phase`` = e^(i angle), and every other phase is
+    zero.  Each stack equals that pair's ``_delta_stack`` bit for bit."""
+    pairs = level_pairs(d)
+    rows, cols = (np.array(ix) - 1 for ix in zip(*pairs))
+    upper = np.zeros((len(pairs), len(phase), d, d), dtype=complex)
+    upper[..., rows, cols] = 1.0  # e^(i 0) of the phases held at zero
+    upper[np.arange(len(pairs)), :, rows, cols] = phase
+    return (np.eye(d) + upper + upper.conj().swapaxes(-1, -2)) / TWO_PI
 
 
-def _component_pair(
-    r4: np.ndarray, das: np.ndarray, dbs: np.ndarray, weights: tuple[list, list]
-) -> tuple[complex, complex]:
-    """Both Fourier components (sum and difference weight) for one quadruple,
-    sharing a single grid of expectation values.
+def _weight_table(angles: np.ndarray) -> np.ndarray:
+    """The weights e^(i(phi_A + phi_B)) and e^(i(phi_A - phi_B)) at every
+    grid point in row-major (A, B) order, shape (2, G**2)."""
+    sums = np.stack([angles[:, None] + angles, angles[:, None] - angles])
+    return np.exp(1j * sums).reshape(2, -1)
 
-    ``r4`` is rho reshaped to (m, n, m, n); ``das`` stacks the A factors for
-    every grid angle of phi_{A;kl} and ``dbs`` the B factors for every angle
-    of phi_{B;pq}.  One einsum gives the expectation Tr(rho (delta_a x
-    delta_b)) at all grid x grid points without forming a Kronecker product.
+
+def _component_moduli(
+    r4: np.ndarray, a_stacks: np.ndarray, b_stacks: np.ndarray, weights: np.ndarray
+) -> tuple[list, list]:
+    """|Fourier component| of both branches for every (A pair, B pair).
+
+    ``r4`` is rho reshaped to (m, n, m, n); ``a_stacks`` (PA, G, m, m) and
+    ``b_stacks`` (PB, G, n, n) hold the factors at every grid angle of each
+    level pair's phase, and ``weights`` comes from ``_weight_table``.
+    Per A pair one einsum gives Tr(rho (delta_a x delta_b)) at all grid x
+    grid points of every B pair without forming a Kronecker product.
+    Returns the sum-branch and the difference-branch moduli as row-major
+    (PA, PB) lists of floats.
+
+    The arithmetic is that of a scalar loop over the grid points, so the
+    results do not depend on how many pairs are batched: each weighted term
+    is numpy's complex product written out componentwise, the terms are
+    added left to right by a cumulative sum, and each modulus is Python's
+    ``abs`` of a complex.  An array complex product, a pairwise sum or
+    ``np.abs`` of an array each differ from that in the last bit for some
+    inputs.
     """
-    t = np.einsum("kplq,alk,bqp->ab", r4, das, dbs)
-    # Weighted sums as numpy-scalar products added in row-major (A, B)
-    # order: an array complex product, or Python complex arithmetic, rounds
-    # some terms differently in the last bit and changes printed values.
-    s_plus = s_minus = 0.0 + 0.0j
-    for wp, wm, tv in zip(*weights, t.ravel().tolist()):
-        s_plus += wp * tv
-        s_minus += wm * tv
-    norm = t.size
-    return s_plus / norm, s_minus / norm
+    wr, wi = weights.real[:, None, :], weights.imag[:, None, :]
+    norm = weights.shape[-1]
+    plus, minus = [], []
+    for das in a_stacks:
+        t = np.einsum("kplq,alk,ybqp->yab", r4, das, b_stacks).reshape(len(b_stacks), norm)
+        tr, ti = t.real, t.imag
+        sums = np.empty((2, len(b_stacks)), dtype=complex)
+        sums.real = np.cumsum(wr * tr - wi * ti, axis=-1)[..., -1]
+        sums.imag = np.cumsum(wr * ti + wi * tr, axis=-1)[..., -1]
+        s_plus, s_minus = (sums / norm).tolist()
+        plus.extend(abs(s) for s in s_plus)
+        minus.extend(abs(s) for s in s_minus)
+    return plus, minus
 
 
 def _check_quadruple(dims: BipartiteDims, k: int, l: int, p: int, q: int) -> None:
@@ -175,6 +204,11 @@ def _check_grid(grid: int) -> None:
         raise ValueError(
             f"grid too coarse: need at least 3 points per axis for exact "
             f"degree-one quadrature, got {grid}"
+        )
+    if grid > MAX_GRID:
+        raise ValueError(
+            f"grid too fine: at most {MAX_GRID} points per axis, got {grid}; "
+            f"every grid of 3 or more points is already exact"
         )
 
 
@@ -204,14 +238,14 @@ def fourier_component(
     base.validate(rho.dims)
     dims = rho.dims
     angles = _grid_angles(grid)
-    s_plus, s_minus = _component_pair(
+    plus, minus = _component_moduli(
         rho.mat.reshape(dims.m, dims.n, dims.m, dims.n),
-        _delta_stack({**base.a_phases, (k, l): angles}, dims.m, grid),
-        _delta_stack({**base.b_phases, (p, q): angles}, dims.n, grid),
-        _grid_weights(angles),
+        _delta_stack({**base.a_phases, (k, l): angles}, dims.m, grid)[np.newaxis],
+        _delta_stack({**base.b_phases, (p, q): angles}, dims.n, grid)[np.newaxis],
+        _weight_table(angles),
     )
-    mag = abs(s_plus) if branch == "+" else abs(s_minus)
-    return FourierComponent(k=k, l=l, p=p, q=q, branch=branch, magnitude=float(mag))
+    mag = plus[0] if branch == "+" else minus[0]
+    return FourierComponent(k=k, l=l, p=p, q=q, branch=branch, magnitude=mag)
 
 
 def gamma_via_povm(
@@ -220,25 +254,24 @@ def gamma_via_povm(
     """Gamma assembled from Fourier components of the phase-operator
     expectation; coincides with the coefficient route ``gamma``.
 
-    Each A level pair's factor stack, each B level pair's and the grid
-    weights are built once and shared by every quadruple that uses them.
+    The factor stacks of every level pair and the grid weights are built
+    once per call, and equal dimensions share one side's stacks; one einsum
+    per A level pair covers every B pair.
+    The squared modulus differences are summed in ``coeff_quadruples`` order.
     """
     _check_grid(grid)
     dims = rho.dims
-    base = PhaseAssignment.zeros(dims)
     angles = _grid_angles(grid)
-    a_stacks = {
-        pair: _delta_stack({**base.a_phases, pair: angles}, dims.m, grid)
-        for pair in level_pairs(dims.m)
-    }
-    b_stacks = {
-        pair: _delta_stack({**base.b_phases, pair: angles}, dims.n, grid)
-        for pair in level_pairs(dims.n)
-    }
-    weights = _grid_weights(angles)
-    r4 = rho.mat.reshape(dims.m, dims.n, dims.m, dims.n)
+    phase = np.exp(1j * angles)
+    a_stacks = _pair_stacks(dims.m, phase)
+    b_stacks = a_stacks if dims.n == dims.m else _pair_stacks(dims.n, phase)
+    plus, minus = _component_moduli(
+        rho.mat.reshape(dims.m, dims.n, dims.m, dims.n),
+        a_stacks,
+        b_stacks,
+        _weight_table(angles),
+    )
     acc = 0.0
-    for k, l, p, q in coeff_quadruples(dims.m, dims.n):
-        s_plus, s_minus = _component_pair(r4, a_stacks[k, l], b_stacks[p, q], weights)
-        acc += (abs(s_plus) - abs(s_minus)) ** 2
+    for s_plus, s_minus in zip(plus, minus):
+        acc += (s_plus - s_minus) ** 2
     return math.sqrt(cfg.n2 * C_POVM * acc)

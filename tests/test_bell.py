@@ -14,6 +14,8 @@ from bellgamma.bell import (
     ShotErrorRow,
     _cross_pair_orthogonality,
     _estimate,
+    _measured_density,
+    _plan_positions,
     _project_mat,
     _quadruple_columns,
     _target_probabilities,
@@ -244,6 +246,16 @@ def test_simulate_without_a_plan_builds_only_the_targets(bell_2x3, monkeypatch):
         bg.simulate_shots(bell_2x3)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2), (4, 4), (5, 5)])
+def test_positions_without_a_plan_equal_the_full_plans(dims):
+    d = bg.BipartiteDims(*dims)
+    psi = bg.random_pure(d, 0)
+    got = _plan_positions(psi, None)
+    want = _plan_positions(psi, bg.plan_measurement(d))
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+    assert [g.shape for g in got] == [w.shape for w in want]
+
+
 @pytest.mark.parametrize("plan_dims", ["2x2", "3x3"])
 def test_a_plan_for_other_dims_is_refused(plan_dims):
     # A 2x2 plan's targets all lie inside a 2x3 state, so unchecked it gives
@@ -469,7 +481,9 @@ def test_target_probabilities_match_per_target_projections(dims):
             (bg.random_density(d, seed + 20), rotation),
         )
         for state, rot in cases:
-            got = _target_probabilities(state, plan.targets, rot)
+            mat = _measured_density(state, rot).mat
+            rows, cols, _ = _plan_positions(state, plan)
+            got = _target_probabilities(mat, rows, cols, isinstance(state, bg.PureState))
             want = np.array(_reference_probabilities(state, plan, rot))
             assert got.shape == (len(plan.targets), 2)
             assert np.abs(got - want).max() <= 1e-15

@@ -243,6 +243,21 @@ def test_povm_check_pass_and_grid_contract(capsys, bell_file):
     assert err.startswith("error: grid too coarse")
 
 
+@pytest.mark.parametrize("command", ["measure", "povm-check"])
+@pytest.mark.parametrize("grid", [64, 65, 10**9])
+def test_grid_is_capped_at_64(capsys, product_file, command, grid):
+    # every grid of 3 or more points is exact; an uncapped one ran numpy out
+    # of memory with a traceback
+    code, out, err = _run(capsys, [command, product_file, "--grid", str(grid)])
+    if grid <= bg.phase_povm.MAX_GRID:
+        assert (code, err) == (0, "")
+        assert out
+    else:
+        assert (code, out) == (2, "")
+        assert err == (f"error: grid too fine: at most 64 points per axis, got {grid}; "
+                       "every grid of 3 or more points is already exact\n")
+
+
 def test_povm_check_maximally_mixed(capsys, tmp_path):
     path = tmp_path / "mixed.qstate.json"
     bg.save_state(path, bg.DensityOperator(bg.BipartiteDims(2, 3), np.eye(6) / 6))
@@ -732,3 +747,25 @@ def test_example_script_writes_five_states_to_the_given_dir(capsys, tmp_path, mo
     assert list(tmp_path.iterdir()) == [tmp_path / "out"]
     for name in names:
         bg.load_state(tmp_path / "out" / name)
+
+
+#: The digests ``scripts/output_digest.py`` printed before the Fourier route
+#: was batched; any change to the output of its corpus changes one of them.
+PINNED_DIGESTS = (
+    "measure calls=18 sha256=9483c0b244084ea2af314f6237292d6c235d2c7596f63411377baf674a63c423\n"
+    "povm-check calls=18 sha256=6700b378720e10d35b89091b620340b422ef62ba2bc3b09928601a589538f405\n"
+    "simulate calls=12 sha256=c31a32fe791d33092944b5711b8dbf7b41d30333bd57e7be009742085f198f2e\n"
+    "conjecture calls=3 sha256=4eeff223e2c91acdea3cca157d4ebf8207b9566942d1bd5627ca055f6bf34124\n"
+)
+
+
+def test_output_digest_script_prints_its_pinned_digests(tmp_path):
+    # The states go to a temporary directory, so nothing is left in the
+    # working directory.
+    src = str(Path(bg.__file__).resolve().parent.parent)
+    script = str(REPO_ROOT / "scripts" / "output_digest.py")
+    done = subprocess.run([sys.executable, script], cwd=tmp_path, capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == PINNED_DIGESTS
+    assert list(tmp_path.iterdir()) == []

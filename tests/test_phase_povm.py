@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import bellgamma as bg
 
 TWO_PI = 2 * math.pi
 
-ROUTE_DIMS = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 5)]
+ROUTE_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2), (4, 4), (2, 5), (5, 5)]
 
 
 # Reference: the per-point Fourier loop the batched einsum replaced.  One
@@ -231,14 +232,56 @@ def test_fourier_component_equals_per_point_loop(dims):
 
 @pytest.mark.parametrize("dims", ROUTE_DIMS)
 def test_gamma_via_povm_builds_each_level_pair_stack_once(dims, monkeypatch):
+    # One batched build per side, and none for B when it has A's dimension.
     d = bg.BipartiteDims(*dims)
-    calls = []
-    build = bg.phase_povm._delta_stack
+    built = []
+    build = bg.phase_povm._pair_stacks
 
-    def counted(phases, dim, count):
-        calls.append(dim)
-        return build(phases, dim, count)
+    def counted(dim, phase):
+        stacks = build(dim, phase)
+        built.append(len(stacks))
+        return stacks
 
-    monkeypatch.setattr(bg.phase_povm, "_delta_stack", counted)
+    monkeypatch.setattr(bg.phase_povm, "_pair_stacks", counted)
     bg.gamma_via_povm(bg.random_density(d, 3), bg.PAPER_2X3, grid=4)
-    assert len(calls) == d.m * (d.m - 1) // 2 + d.n * (d.n - 1) // 2
+    pairs = d.m * (d.m - 1) // 2
+    assert built == ([pairs] if d.n == d.m else [pairs, d.n * (d.n - 1) // 2])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("grid", [3, 4, 7])
+def test_pair_stacks_equal_the_per_pair_stacks(dim, grid):
+    angles = bg.phase_povm._grid_angles(grid)
+    stacks = bg.phase_povm._pair_stacks(dim, np.exp(1j * angles))
+    zeros = dict.fromkeys(bg.level_pairs(dim), 0.0)
+    assert len(stacks) == len(zeros)
+    for stack, pair in zip(stacks, zeros):
+        want = bg.phase_povm._delta_stack({**zeros, pair: angles}, dim, grid)
+        assert stack.tobytes() == want.tobytes()
+
+
+def test_grid_above_the_cap_is_refused(bell_2x3):
+    rho = bg.pure_to_density(bell_2x3)
+    cap = bg.phase_povm.MAX_GRID
+    assert bg.gamma_via_povm(rho, grid=cap) == pytest.approx(bg.gamma(rho).total, abs=1e-12)
+    with pytest.raises(ValueError, match="grid too fine"):
+        bg.gamma_via_povm(rho, grid=cap + 1)
+    with pytest.raises(ValueError, match="grid too fine"):
+        bg.fourier_component(rho, 1, 2, 1, 2, "+", grid=cap + 1)
+
+
+def test_fourier_route_memory_peak_at_the_largest_dims_and_grid():
+    # One A pair's expectations of every B pair, (PB, G, G), and their
+    # weighted terms are live at once: a 2.3 MB peak at 5x5 and G = 64,
+    # tables included.  The expectations of all 100 quadruples at once would
+    # take 6.5 MB alone.
+    d = bg.BipartiteDims(5, 5)
+    rho = bg.random_density(d, 0)
+    grid = bg.phase_povm.MAX_GRID
+    tracemalloc.start()
+    try:
+        bg.gamma_via_povm(rho, bg.PAPER_2X3, grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20

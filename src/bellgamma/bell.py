@@ -11,8 +11,9 @@ input the simulator applies that rotation per target (a phase on A level
 k, read off the amplitudes), which turns Re rho[r, c] into |rho[r, c]|;
 mixed input needs a rotation from the caller.  The exact outcome
 probabilities of all targets are computed once per state, in closed form
-as one gather from the density matrix; the binomial draws of every
-repetition are then sampled and estimated as one batch.
+as one gather from the density matrix.  Each repetition then seeds its own
+generator and makes its own binomial draws, so each repetition adds a
+fixed set-up cost; the estimates of all repetitions are one batch.
 """
 
 from __future__ import annotations
@@ -467,11 +468,11 @@ def shot_error_table(
     rotated by ``phase_rotation`` when one is given.
 
     The exact outcome probabilities are computed once per state, in closed
-    form (see ``_target_probabilities``), and for each shot count every rep
-    is sampled and estimated as one batch.  Rep
-    ``rep`` of shot count ``shots_list[si]`` draws from
-    ``SeedSequence((seed, si, rep))``, so each row equals the
-    ``simulate_shots`` estimate with that seed.
+    form (see ``_target_probabilities``).  Each rep builds its own generator
+    and draws its own counts: rep ``rep`` of shot count ``shots_list[si]``
+    draws from ``SeedSequence((seed, si, rep))``, so each row equals the
+    ``simulate_shots`` estimate with that seed.  The frequencies of every
+    rep of every shot count are then estimated in one batch.
     """
     shots_list = list(shots_list)
     if reps < 1:
@@ -482,23 +483,22 @@ def shot_error_table(
     rho = _measured_density(state, phase_rotation)
     truth = gamma(rho, cfg).total
     probs = _target_probabilities(rho.mat, rows, cols, isinstance(state, PureState)).ravel()
+    counts = np.stack(
+        [
+            np.random.default_rng(np.random.SeedSequence((seed, si, rep))).binomial(shots, probs)
+            for si, shots in enumerate(shots_list)
+            for rep in range(reps)
+        ]
+    )
+    trials = np.repeat(np.array(shots_list, dtype=np.int64), reps)[:, np.newaxis]
+    _, totals = _estimate((counts / trials).reshape(len(counts), -1, 2), pair_cols, cfg.n2)
     rows = []
     medians: dict[int, float] = {}
-    for si, shots in enumerate(shots_list):
-        counts = np.stack(
-            [
-                np.random.default_rng(np.random.SeedSequence((seed, si, rep))).binomial(
-                    shots, probs
-                )
-                for rep in range(reps)
-            ]
-        )
-        _, totals = _estimate(counts.reshape(reps, -1, 2) / shots, pair_cols, cfg.n2)
-        totals = totals.tolist()
-        errs = [abs(total - truth) for total in totals]
+    for shots, gammas in zip(shots_list, totals.reshape(len(shots_list), reps).tolist()):
+        errs = [abs(total - truth) for total in gammas]
         rows.extend(
             ShotErrorRow(shots=shots, rep=rep, gamma_hat=total, abs_error=err)
-            for rep, (total, err) in enumerate(zip(totals, errs))
+            for rep, (total, err) in enumerate(zip(gammas, errs))
         )
         medians[shots] = statistics.median(errs)
     return tuple(rows), medians

@@ -244,8 +244,11 @@ _PARABOLIC_STEPS = 3
 @lru_cache(maxsize=None)
 def _grid_offsets(points: int) -> np.ndarray:
     """Offsets of a uniform periodic grid of ``points`` points in
-    ``np.fft.fftfreq`` order, 0 first; read-only."""
-    offsets = 2.0 * math.pi * np.fft.fftfreq(points)
+    ``np.fft.fftfreq`` order, 0 first: the non-negative steps, then the
+    negative ones from the most negative up; read-only.  Built as fftfreq
+    builds it, integer steps times 1/points, without importing numpy.fft."""
+    steps = np.concatenate([np.arange((points - 1) // 2 + 1), np.arange(-(points // 2), 0)])
+    offsets = 2.0 * math.pi * (steps * (1.0 / points))
     offsets.setflags(write=False)
     return offsets
 

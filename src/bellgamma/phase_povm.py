@@ -22,8 +22,10 @@ points per axis evaluates the integral exactly (up to roundoff); a change
 of variables to sum and difference phases is not needed and would not be
 invertible on the torus.  The factors at every grid angle of one level
 pair's phase form one stack.  A call builds the stacks of every A pair k<l
-and every B pair p<q, and the grid weights, once; per A pair a single einsum
-then gives the grid x grid expectation values of all B pairs at once.
+and every B pair p<q, and the grid weights, once.  It then takes rho against
+every B stack in one matrix product, and that product against each A pair's
+stack in one more: the explicit grid x grid expectation values of all B
+pairs at once, which the weights turn into Fourier components.
 
 The operators here are treated purely as Hermitian observables; positivity
 of delta is neither needed nor asserted.
@@ -149,46 +151,43 @@ def _pair_stacks(d: int, phase: np.ndarray) -> np.ndarray:
 
 
 def _weight_table(angles: np.ndarray) -> np.ndarray:
-    """The weights e^(i(phi_A + phi_B)) and e^(i(phi_A - phi_B)) at every
-    grid point in row-major (A, B) order, shape (2, G**2)."""
-    sums = np.stack([angles[:, None] + angles, angles[:, None] - angles])
-    return np.exp(1j * sums).reshape(2, -1)
+    """The quadrature weights e^(i(phi_A + phi_B)) / G**2 and
+    e^(i(phi_A - phi_B)) / G**2 at every grid point, shape (G**2, 2), the
+    points in row-major (B angle, A angle) order, as in the tables of
+    ``_component_moduli``."""
+    phi_b, phi_a = angles[:, None], angles[None, :]
+    sums = np.stack([phi_a + phi_b, phi_a - phi_b], axis=-1)
+    return np.exp(1j * sums).reshape(-1, 2) / len(angles) ** 2
 
 
 def _component_moduli(
-    r4: np.ndarray, a_stacks: np.ndarray, b_stacks: np.ndarray, weights: np.ndarray
-) -> tuple[list, list]:
+    rho_mat: np.ndarray, a_stacks: np.ndarray, b_stacks: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
     """|Fourier component| of both branches for every (A pair, B pair).
 
-    ``r4`` is rho reshaped to (m, n, m, n); ``a_stacks`` (PA, G, m, m) and
-    ``b_stacks`` (PB, G, n, n) hold the factors at every grid angle of each
-    level pair's phase, and ``weights`` comes from ``_weight_table``.
-    Per A pair one einsum gives Tr(rho (delta_a x delta_b)) at all grid x
-    grid points of every B pair without forming a Kronecker product.
-    Returns the sum-branch and the difference-branch moduli as row-major
-    (PA, PB) lists of floats.
+    ``rho_mat`` is the (mn, mn) density matrix; ``a_stacks`` (PA, G, m, m)
+    and ``b_stacks`` (PB, G, n, n) hold the factors at every grid angle of
+    each level pair's phase, and ``weights`` comes from ``_weight_table``.
+    Returns the moduli as a (PA, PB, 2) array, sum branch first.
 
-    The arithmetic is that of a scalar loop over the grid points, so the
-    results do not depend on how many pairs are batched: each weighted term
-    is numpy's complex product written out componentwise, the terms are
-    added left to right by a cumulative sum, and each modulus is Python's
-    ``abs`` of a complex.  An array complex product, a pairwise sum or
-    ``np.abs`` of an array each differ from that in the last bit for some
-    inputs.
+    The expectation Tr(rho (delta_a x delta_b)) is
+    sum rho[(k p), (l q)] delta_a[l, k] delta_b[q, p], so with rho viewed as
+    a (q p) x (l k) matrix it is two matrix products.  The first, once per
+    call, takes rho against every B factor at once: X, shape (PB G, m**2).
+    The second, once per A pair, takes X against that pair's (G, m**2)
+    factors: the (PB, G, G) table of expectations at every grid point of
+    every B pair.  Its two weighted sums are one product with ``weights``.
     """
-    wr, wi = weights.real[:, None, :], weights.imag[:, None, :]
-    norm = weights.shape[-1]
-    plus, minus = [], []
-    for das in a_stacks:
-        t = np.einsum("kplq,alk,ybqp->yab", r4, das, b_stacks).reshape(len(b_stacks), norm)
-        tr, ti = t.real, t.imag
-        sums = np.empty((2, len(b_stacks)), dtype=complex)
-        sums.real = np.cumsum(wr * tr - wi * ti, axis=-1)[..., -1]
-        sums.imag = np.cumsum(wr * ti + wi * tr, axis=-1)[..., -1]
-        s_plus, s_minus = (sums / norm).tolist()
-        plus.extend(abs(s) for s in s_plus)
-        minus.extend(abs(s) for s in s_minus)
-    return plus, minus
+    m, n = a_stacks.shape[-1], b_stacks.shape[-1]
+    grid = a_stacks.shape[1]
+    r = rho_mat.reshape(m, n, m, n).transpose(3, 1, 2, 0).reshape(n * n, m * m)
+    x = b_stacks.reshape(-1, n * n) @ r
+    sums = np.empty((len(a_stacks), len(b_stacks), 2), dtype=complex)
+    for i, das in enumerate(a_stacks):
+        # the (PB, G, G) table, each B pair's G x G points flattened
+        table = (x @ das.reshape(grid, m * m).T).reshape(len(b_stacks), grid * grid)
+        sums[i] = table @ weights
+    return np.abs(sums)
 
 
 def _check_quadruple(dims: BipartiteDims, k: int, l: int, p: int, q: int) -> None:
@@ -238,13 +237,13 @@ def fourier_component(
     base.validate(rho.dims)
     dims = rho.dims
     angles = _grid_angles(grid)
-    plus, minus = _component_moduli(
-        rho.mat.reshape(dims.m, dims.n, dims.m, dims.n),
+    moduli = _component_moduli(
+        rho.mat,
         _delta_stack({**base.a_phases, (k, l): angles}, dims.m, grid)[np.newaxis],
         _delta_stack({**base.b_phases, (p, q): angles}, dims.n, grid)[np.newaxis],
         _weight_table(angles),
     )
-    mag = plus[0] if branch == "+" else minus[0]
+    mag = float(moduli[0, 0, 0 if branch == "+" else 1])
     return FourierComponent(k=k, l=l, p=p, q=q, branch=branch, magnitude=mag)
 
 
@@ -255,9 +254,9 @@ def gamma_via_povm(
     expectation; coincides with the coefficient route ``gamma``.
 
     The factor stacks of every level pair and the grid weights are built
-    once per call, and equal dimensions share one side's stacks; one einsum
-    per A level pair covers every B pair.
-    The squared modulus differences are summed in ``coeff_quadruples`` order.
+    once per call, and equal dimensions share one side's stacks.  rho meets
+    every B stack in one matrix product, and that product meets each A level
+    pair's stack in one more (see ``_component_moduli``).
     """
     _check_grid(grid)
     dims = rho.dims
@@ -265,13 +264,6 @@ def gamma_via_povm(
     phase = np.exp(1j * angles)
     a_stacks = _pair_stacks(dims.m, phase)
     b_stacks = a_stacks if dims.n == dims.m else _pair_stacks(dims.n, phase)
-    plus, minus = _component_moduli(
-        rho.mat.reshape(dims.m, dims.n, dims.m, dims.n),
-        a_stacks,
-        b_stacks,
-        _weight_table(angles),
-    )
-    acc = 0.0
-    for s_plus, s_minus in zip(plus, minus):
-        acc += (s_plus - s_minus) ** 2
-    return math.sqrt(cfg.n2 * C_POVM * acc)
+    moduli = _component_moduli(rho.mat, a_stacks, b_stacks, _weight_table(angles))
+    diff = (moduli[..., 0] - moduli[..., 1]).ravel()
+    return math.sqrt(cfg.n2 * C_POVM * float(diff @ diff))

@@ -226,6 +226,12 @@ def test_maximize_gamma_deterministic():
     assert bg.matrices_close(r1.best_unitary.u_a, r2.best_unitary.u_a, tol=0.0)
 
 
+def test_grid_offsets_equal_fftfreq():
+    for points in range(3, 65):
+        want = 2.0 * math.pi * np.fft.fftfreq(points)
+        assert _grid_offsets(points).tobytes() == want.tobytes(), points
+
+
 def _reference_line_max(f1d, f0, points, trace=None):
     """The line search of one restart on its own, probe by probe, from 0.
 

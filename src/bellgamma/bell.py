@@ -135,7 +135,6 @@ class MeasurementPlan:
     dims: BipartiteDims
     targets: tuple[CoefficientTarget, ...]
     reduced: ReducedPlan
-    shots_per_projector: int | None = None
     notes: tuple[str, ...] = ()
 
 
@@ -174,9 +173,7 @@ def _cross_pair_orthogonality(
     return tuple(zip(*(idx.tolist() for idx in np.nonzero(clash))))
 
 
-def plan_measurement(
-    dims: BipartiteDims, shots_per_projector: int | None = None
-) -> MeasurementPlan:
+def plan_measurement(dims: BipartiteDims) -> MeasurementPlan:
     """Projector pairs for every coefficient position, plus the reduced plan.
 
     The full target list covers, for every k<l, p<q quadruple, both the
@@ -234,7 +231,6 @@ def plan_measurement(
             ),
             notes=tuple(reduced_notes),
         ),
-        shots_per_projector=shots_per_projector,
         notes=tuple(notes),
     )
 
@@ -311,31 +307,13 @@ def _target_probabilities(
     return np.clip(np.stack([mid + off, mid - off], axis=1), 0.0, 1.0)
 
 
-def _quadruple_columns(
-    targets: tuple[CoefficientTarget, ...], dims: BipartiteDims
-) -> tuple[tuple[tuple[int, int, int, int], ...], np.ndarray]:
-    """The k<l, p<q quadruples and, per quadruple, the target index of its
-    (k, l, p, q) and (k, l, q, p) positions, shape (quadruples, 2).
-
-    A position missing from ``targets`` gets index -1, which ``_estimate``
-    points at a zero column: absent positions count as zero coefficients.
-    """
-    index = {(t.k, t.l, t.p, t.q): i for i, t in enumerate(targets)}
-    quads = tuple(coeff_quadruples(dims.m, dims.n))
-    cols = np.array(
-        [[index.get((k, l, p, q), -1), index.get((k, l, q, p), -1)] for k, l, p, q in quads],
-        dtype=np.intp,
-    ).reshape(len(quads), 2)
-    return quads, cols
-
-
 def _estimate(
     hats: np.ndarray, cols: np.ndarray, n2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gamma from sampled outcome frequencies, one rep per leading row.
 
     ``hats`` has shape (reps, targets, 2); ``cols`` comes from
-    ``_quadruple_columns``.  Returns the |coefficient| estimates, shape
+    ``_plan_positions``.  Returns the |coefficient| estimates, shape
     (reps, quadruples, 2), and each rep's gamma, shape (reps,).
     """
     est = (hats[..., 0] - hats[..., 1]) / 2.0
@@ -358,26 +336,34 @@ def _plan_positions(
     state: PureState | DensityOperator, plan: MeasurementPlan | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 0-based rows and columns of the coefficients ``plan`` targets,
-    and per quadruple the indices of its two targets (see
-    ``_quadruple_columns``).
+    and per quadruple the target indices of its (k, l, p, q) and (k, l, q, p)
+    positions, shape (quadruples, 2).
 
-    Without a plan they are those of the full target list, ``_targets``
-    order, computed from the quadruples without building the targets or
-    the plan, since only their positions are read.
+    The positions of the full target list, in ``_targets`` order, are
+    computed from the quadruples; a plan keeps those of its targets, in its
+    order, and no plan keeps all of them.  A position the plan does not
+    measure gets index -1, which ``_estimate`` points at a zero column:
+    absent positions count as zero coefficients.
     """
     dims = state.dims
+    k, l, p, q = (np.array(coeff_quadruples(dims.m, dims.n), dtype=np.intp) - 1).T
+    rows = np.stack([k * dims.n + p, k * dims.n + q], axis=1).ravel()
+    cols = np.stack([l * dims.n + q, l * dims.n + p], axis=1).ravel()
     if plan is None:
-        k, l, p, q = (np.array(coeff_quadruples(dims.m, dims.n), dtype=np.intp) - 1).T
-        rows = np.stack([k * dims.n + p, k * dims.n + q], axis=1).ravel()
-        cols = np.stack([l * dims.n + q, l * dims.n + p], axis=1).ravel()
-        return rows, cols, np.arange(len(rows)).reshape(-1, 2)
-    if plan.dims != dims:
+        measured = np.arange(len(rows))
+    elif plan.dims != dims:
         raise ValueError(
             f"plan dims {plan.dims.label()} do not match state dims {dims.label()}"
         )
-    rows = np.array([t.row - 1 for t in plan.targets], dtype=np.intp)
-    cols = np.array([t.col - 1 for t in plan.targets], dtype=np.intp)
-    return rows, cols, _quadruple_columns(plan.targets, dims)[1]
+    else:
+        slot = np.full((dims.size, dims.size), -1, dtype=np.intp)
+        slot[rows, cols] = np.arange(len(rows))
+        measured = slot[[t.row - 1 for t in plan.targets], [t.col - 1 for t in plan.targets]]
+        if (measured < 0).any():
+            raise ValueError("plan targets a position outside its quadruples' pairs")
+    pair_cols = np.full(len(rows), -1, dtype=np.intp)
+    pair_cols[measured] = np.arange(len(measured))
+    return rows[measured], cols[measured], pair_cols.reshape(-1, 2)
 
 
 def _check_shots(shots_list) -> None:
@@ -409,8 +395,6 @@ def simulate_shots(
     used unsampled (the infinite-shot limit).  Deterministic given ``seed``.
     """
     rows, cols, pair_cols = _plan_positions(state, plan)
-    if shots is None and plan is not None:
-        shots = plan.shots_per_projector
     if not exact:
         _check_shots([shots])
 

@@ -36,6 +36,7 @@ from .measures import (
     CONCURRENCE_MATCHED,
     MeasureConfig,
     _gamma_of_pairs,
+    _paired_coefficients,
     _paired_positions,
     gamma_schmidt,
     i_concurrence,
@@ -44,7 +45,6 @@ from .states import (
     DensityOperator,
     PureState,
     _haar_from_gaussian,
-    haar_unitary,
     pure_to_density,
     random_pure,
     schmidt,
@@ -104,10 +104,29 @@ def identity_local(dims: BipartiteDims) -> LocalUnitary:
     return LocalUnitary(np.eye(dims.m, dtype=complex), np.eye(dims.n, dtype=complex))
 
 
+def _haar_local_stacks(dims: BipartiteDims, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Independent Haar factors (u_a, u_b) from each generator of ``rngs``,
+    as one (len(rngs), d, d) stack per side.
+
+    Each generator makes one Gaussian draw, in ``haar_unitary``'s order: the
+    real and then the imaginary parts of u_a's matrix, then of u_b's.  Each
+    side's draws share one QR.
+    """
+    sides = (dims.m, dims.n)
+    size = 2 * sum(d * d for d in sides)
+    gauss = np.array([rng.standard_normal(size) for rng in rngs]).reshape(len(rngs), size)
+    stacks, start = [], 0
+    for d in sides:
+        parts = gauss[:, start:start + 2 * d * d].reshape(-1, 2, d, d)
+        start += 2 * d * d
+        stacks.append(_haar_from_gaussian((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)))
+    return tuple(stacks)
+
+
 def random_local_unitary(dims: BipartiteDims, seed) -> LocalUnitary:
     """Independent Haar factors on each subsystem; deterministic given seed."""
-    rng = np.random.default_rng(seed)
-    return LocalUnitary(haar_unitary(dims.m, rng), haar_unitary(dims.n, rng))
+    u_a, u_b = _haar_local_stacks(dims, [np.random.default_rng(seed)])
+    return LocalUnitary(u_a[0], u_b[0])
 
 
 def apply_local(psi: PureState, u: LocalUnitary) -> PureState:
@@ -504,13 +523,9 @@ def _lockstep_ascent(source: np.ndarray, bases: tuple, n2: float,
     """
     us = [u.copy() for u in bases]
     dims = [u.shape[-1] for u in us]
-    left, right = _paired_positions(*dims)
-    flat_pairs = left * len(source) + right
 
     def objective(rotated):
-        # gamma at the identity frame; take() keeps each row's pairs
-        # contiguous, so a row sums them in the order a single matrix does
-        return _gamma_of_pairs(rotated.reshape(len(rotated), -1).take(flat_pairs, axis=-1), n2)
+        return _gamma_of_pairs(_paired_coefficients(rotated, *dims), n2)
 
     states = _dense_rotate(source, *us)
     f = objective(states)
@@ -556,8 +571,9 @@ def _restart_batch(state: PureState | DensityOperator, opts: OptimizerOptions):
     Restart 0 is the identity.  Restart 1 of a pure input, if there is one,
     is its Schmidt rotation, where gamma is the proven supremum.  Every
     other restart i draws its Haar factors from ``default_rng([seed, i])``
-    exactly as ``random_local_unitary`` does, and each side's draws share
-    one QR.
+    through ``_haar_local_stacks``, as ``random_local_unitary`` does.  QR
+    makes them unitary, so they are not checked again; ``LocalUnitary``
+    checks the winner ``maximize_gamma`` reports.
     """
     dims = state.dims
     fixed = [(np.eye(dims.m, dtype=complex), np.eye(dims.n, dtype=complex))]
@@ -565,20 +581,10 @@ def _restart_batch(state: PureState | DensityOperator, opts: OptimizerOptions):
         _, rot = schmidt_rotation(state)
         fixed.append((rot.u_a, rot.u_b))
     rngs = [np.random.default_rng([opts.seed, i]) for i in range(len(fixed), opts.restarts)]
-    # One draw per restart, in random_local_unitary's order: the real and
-    # then the imaginary parts of u_a's Gaussian matrix, then of u_b's.
-    sides = (dims.m, dims.n)
-    size = 2 * sum(d * d for d in sides)
-    gauss = np.array([rng.standard_normal(size) for rng in rngs]).reshape(len(rngs), size)
-    bases, start = [], 0
-    for side, d in enumerate(sides):
-        parts = gauss[:, start:start + 2 * d * d].reshape(-1, 2, d, d)
-        start += 2 * d * d
-        draws = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
-        stack = np.concatenate([np.array([f[side] for f in fixed]), _haar_from_gaussian(draws)])
-        _check_unitary(("u_a", "u_b")[side], stack)
-        bases.append(stack)
-    return tuple(bases)
+    return tuple(
+        np.concatenate([np.array([f[side] for f in fixed]), stack])
+        for side, stack in enumerate(_haar_local_stacks(dims, rngs))
+    )
 
 
 def maximize_gamma(

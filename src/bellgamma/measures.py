@@ -101,16 +101,6 @@ class GammaBreakdown:
     total: float
 
 
-def _assemble(plus: np.ndarray, minus: np.ndarray, dims: BipartiteDims,
-              n2: float) -> GammaBreakdown:
-    total = math.sqrt(n2 * float(np.sum((plus - minus) ** 2)))
-    terms = tuple(
-        GammaTerm(k, l, p, q, float(cp), float(cm))
-        for (k, l, p, q), cp, cm in zip(coeff_quadruples(dims.m, dims.n), plus, minus)
-    )
-    return GammaBreakdown(terms=terms, n2=n2, total=total)
-
-
 @lru_cache(maxsize=None)
 def _paired_positions(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Joint indices (left, right) of every quadruple's two coefficients.
@@ -126,34 +116,30 @@ def _paired_positions(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _split_pairs(moduli: np.ndarray):
-    half = moduli.shape[-1] // 2
-    return moduli[..., :half], moduli[..., half:]
-
-
-def _gamma_coeffs_dense(mat: np.ndarray, dims: BipartiteDims):
-    left, right = _paired_positions(dims.m, dims.n)
-    flat = mat.reshape(*mat.shape[:-2], dims.size * dims.size)
-    return _split_pairs(np.abs(flat.take(left * dims.size + right, axis=-1)))
-
-
-def _gamma_coeffs_amp(amp: np.ndarray, dims: BipartiteDims):
-    left, right = _paired_positions(dims.m, dims.n)
-    flat = amp.reshape(*amp.shape[:-2], dims.size)
-    products = flat.take(left, axis=-1) * flat.take(right, axis=-1).conj()
-    return _split_pairs(np.abs(products))
-
-
-def _gamma_total(plus: np.ndarray, minus: np.ndarray, n2: float) -> np.ndarray:
-    # take() leaves each row's terms contiguous, so a row sums in the order
-    # np.sum takes on a single matrix's terms: batched values equal unbatched.
-    return np.sqrt(n2 * ((plus - minus) ** 2).sum(axis=-1))
+def _paired_coefficients(mat: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The paired coefficients of each (mn, mn) matrix of a (..., mn, mn)
+    batch, shape (..., 2Q), laid out as ``_paired_positions`` lists them."""
+    left, right = _paired_positions(m, n)
+    return mat.reshape(*mat.shape[:-2], -1).take(left * (m * n) + right, axis=-1)
 
 
 def _gamma_of_pairs(pairs: np.ndarray, n2: float) -> np.ndarray:
-    """Gamma of each row of a (..., 2Q) batch of paired coefficients, laid
-    out as ``_paired_positions`` lists them."""
-    return _gamma_total(*_split_pairs(np.abs(pairs)), n2)
+    """Gamma of each row of a (..., 2Q) batch of paired coefficients."""
+    moduli = np.abs(pairs)
+    half = moduli.shape[-1] // 2
+    # take() leaves each row's terms contiguous, so a row sums in the order
+    # np.sum takes on a single matrix's terms: batched values equal unbatched.
+    return np.sqrt(n2 * ((moduli[..., :half] - moduli[..., half:]) ** 2).sum(axis=-1))
+
+
+def _breakdown(mat: np.ndarray, dims: BipartiteDims, n2: float) -> GammaBreakdown:
+    pairs = _paired_coefficients(mat, dims.m, dims.n)
+    plus, minus = np.abs(pairs).reshape(2, -1).tolist()
+    terms = tuple(
+        GammaTerm(k, l, p, q, cp, cm)
+        for (k, l, p, q), cp, cm in zip(coeff_quadruples(dims.m, dims.n), plus, minus)
+    )
+    return GammaBreakdown(terms=terms, n2=n2, total=float(_gamma_of_pairs(pairs, n2)))
 
 
 def gamma(rho: DensityOperator, cfg: MeasureConfig = PAPER_2X3) -> GammaBreakdown:
@@ -162,18 +148,18 @@ def gamma(rho: DensityOperator, cfg: MeasureConfig = PAPER_2X3) -> GammaBreakdow
     For dims 2x3 the three terms pair the coefficient positions
     (1,5)-(2,4), (2,6)-(3,5) and (1,6)-(3,4).
     """
-    plus, minus = _gamma_coeffs_dense(rho.mat, rho.dims)
-    return _assemble(plus, minus, rho.dims, cfg.n2)
+    return _breakdown(rho.mat, rho.dims, cfg.n2)
 
 
 def gamma_pure(psi: PureState, cfg: MeasureConfig = PAPER_2X3) -> GammaBreakdown:
     """Gamma computed directly from amplitudes: coefficient pairs are
     |amp[k,p] * conj(amp[l,q])| and |amp[k,q] * conj(amp[l,p])|.
 
-    Agrees with ``gamma(pure_to_density(psi))`` to rounding.
+    The products are the entries of |psi><psi|, so this equals
+    ``gamma(pure_to_density(psi))`` bit for bit.
     """
-    plus, minus = _gamma_coeffs_amp(psi.amp, psi.dims)
-    return _assemble(plus, minus, psi.dims, cfg.n2)
+    v = psi.amp.reshape(-1)
+    return _breakdown(np.outer(v, v.conj()), psi.dims, cfg.n2)
 
 
 def i_concurrence(psi: PureState) -> float:

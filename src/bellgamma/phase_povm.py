@@ -20,9 +20,12 @@ coefficient rho[(k-1)n+q, (l-1)n+p].  Because the integrand is a
 trigonometric polynomial of degree one per axis, a uniform grid of G >= 3
 points per axis evaluates the integral exactly (up to roundoff); a change
 of variables to sum and difference phases is not needed and would not be
-invertible on the torus.  The factors at every grid angle of one level
-pair's phase form one stack.  A call builds the stacks of every A pair k<l
-and every B pair p<q, and the grid weights, once.  It then takes rho against
+invertible on the torus.  One builder, ``_factor_stacks``, writes every
+phase operator the module uses, from a table of e^(i phi) per level pair:
+the identity, those phases and their conjugates go straight to their
+entries.  The factors at every grid angle of one level pair's phase form
+one stack.  A call builds the stacks of every A pair k<l and every B pair
+p<q, and the grid weights, once.  It then takes rho against
 every B stack in one matrix product, and that product against each A pair's
 stack in one more: the explicit grid x grid expectation values of all B
 pairs at once, which the weights turn into Fourier components.
@@ -87,39 +90,47 @@ class PhaseAssignment:
         )
 
 
-def _delta_stack(
-    phases: Mapping[tuple[int, int], float | np.ndarray], d: int, count: int
-) -> np.ndarray:
-    """``count`` phase operators as one (count, d, d) array; each phase is a
-    float shared by all of them or a (count,) array giving one per operator."""
-    upper = np.zeros((count, d, d), dtype=complex)
-    for (i, j), phi in phases.items():
-        upper[:, i - 1, j - 1] = np.exp(1j * phi)
-    return (np.eye(d) + upper + upper.conj().swapaxes(1, 2)) / TWO_PI
+def _factor_stacks(d: int, upper: np.ndarray) -> np.ndarray:
+    """Phase operators of a d-level side, one per leading index of ``upper``.
+
+    ``upper[..., i]`` is e^(i phi) of level pair i in ``level_pairs(d)``
+    order; the result, shape (*upper.shape[:-1], d, d), holds
+    (I + sum e^(i phi) |k><l| + h.c.) / 2pi.  The identity, the phases and
+    their conjugates are written to their own entries, with no
+    conj-transpose add.
+    """
+    pairs = level_pairs(d)
+    out = np.zeros(upper.shape[:-1] + (d * d,), dtype=complex)
+    out[..., :: d + 1] = 1.0
+    out[..., [(k - 1) * d + l - 1 for k, l in pairs]] = upper
+    out[..., [(l - 1) * d + k - 1 for k, l in pairs]] = upper.conj()
+    out /= TWO_PI
+    return out.reshape(upper.shape[:-1] + (d, d))
 
 
-def _delta_factor(phases: Mapping[tuple[int, int], float], d: int) -> np.ndarray:
-    return _delta_stack(phases, d, 1)[0]
+def _phase_row(phases: Mapping[tuple[int, int], float], d: int) -> np.ndarray:
+    """e^(i phi) of every level pair, in ``level_pairs(d)`` order."""
+    return np.exp(1j * np.array([phases[pair] for pair in level_pairs(d)]))
 
 
 def delta_a(phases: Mapping[tuple[int, int], float], dims: BipartiteDims) -> np.ndarray:
     """Hermitian A-side phase operator for a complete phase assignment."""
     _validate_phases("A", phases, dims.m)
-    return _delta_factor(phases, dims.m)
+    return _factor_stacks(dims.m, _phase_row(phases, dims.m))
 
 
 def delta_b(phases: Mapping[tuple[int, int], float], dims: BipartiteDims) -> np.ndarray:
     """Hermitian B-side phase operator for a complete phase assignment."""
     _validate_phases("B", phases, dims.n)
-    return _delta_factor(phases, dims.n)
+    return _factor_stacks(dims.n, _phase_row(phases, dims.n))
 
 
 def delta_joint(assignment: PhaseAssignment, dims: BipartiteDims) -> np.ndarray:
     """Joint operator delta_a tensor delta_b (Hermitian)."""
     assignment.validate(dims)
     return np.kron(
-        _delta_factor(assignment.a_phases, dims.m),
-        _delta_factor(assignment.b_phases, dims.n),
+        _factor_stacks(dims.m, _phase_row(assignment.a_phases, dims.m)),
+        _factor_stacks(dims.n, _phase_row(assignment.b_phases, dims.n)),
     )
 
 
@@ -137,17 +148,15 @@ def _grid_angles(grid: int) -> np.ndarray:
     return TWO_PI * np.arange(grid) / grid
 
 
-def _pair_stacks(d: int, phase: np.ndarray) -> np.ndarray:
-    """The factor stacks of every level pair of a d-level side, shape
-    (P, G, d, d) in ``level_pairs(d)`` order: in stack i pair i's phase
-    takes the grid angles, ``phase`` = e^(i angle), and every other phase is
-    zero.  Each stack equals that pair's ``_delta_stack`` bit for bit."""
-    pairs = level_pairs(d)
-    rows, cols = (np.array(ix) - 1 for ix in zip(*pairs))
-    upper = np.zeros((len(pairs), len(phase), d, d), dtype=complex)
-    upper[..., rows, cols] = 1.0  # e^(i 0) of the phases held at zero
-    upper[np.arange(len(pairs)), :, rows, cols] = phase
-    return (np.eye(d) + upper + upper.conj().swapaxes(-1, -2)) / TWO_PI
+def _grid_stacks(d: int, row: np.ndarray, pairs, phase: np.ndarray) -> np.ndarray:
+    """The factors at every grid angle of each level pair in ``pairs``
+    (indices into ``level_pairs(d)``), shape (len(pairs), G, d, d): in
+    stack i pair ``pairs[i]`` takes ``phase`` = e^(i angle) and every other
+    pair keeps its e^(i phi) of ``row``."""
+    upper = np.empty((len(pairs), len(phase), len(row)), dtype=complex)
+    upper[...] = row
+    upper[np.arange(len(pairs)), :, pairs] = phase
+    return _factor_stacks(d, upper)
 
 
 def _weight_table(angles: np.ndarray) -> np.ndarray:
@@ -237,10 +246,13 @@ def fourier_component(
     base.validate(rho.dims)
     dims = rho.dims
     angles = _grid_angles(grid)
+    phase = np.exp(1j * angles)
     moduli = _component_moduli(
         rho.mat,
-        _delta_stack({**base.a_phases, (k, l): angles}, dims.m, grid)[np.newaxis],
-        _delta_stack({**base.b_phases, (p, q): angles}, dims.n, grid)[np.newaxis],
+        _grid_stacks(dims.m, _phase_row(base.a_phases, dims.m),
+                     [level_pairs(dims.m).index((k, l))], phase),
+        _grid_stacks(dims.n, _phase_row(base.b_phases, dims.n),
+                     [level_pairs(dims.n).index((p, q))], phase),
         _weight_table(angles),
     )
     mag = float(moduli[0, 0, 0 if branch == "+" else 1])
@@ -262,8 +274,13 @@ def gamma_via_povm(
     dims = rho.dims
     angles = _grid_angles(grid)
     phase = np.exp(1j * angles)
-    a_stacks = _pair_stacks(dims.m, phase)
-    b_stacks = a_stacks if dims.n == dims.m else _pair_stacks(dims.n, phase)
+
+    def every_pair(d: int) -> np.ndarray:
+        count = d * (d - 1) // 2
+        return _grid_stacks(d, np.ones(count, dtype=complex), np.arange(count), phase)
+
+    a_stacks = every_pair(dims.m)
+    b_stacks = a_stacks if dims.n == dims.m else every_pair(dims.n)
     moduli = _component_moduli(rho.mat, a_stacks, b_stacks, _weight_table(angles))
     diff = (moduli[..., 0] - moduli[..., 1]).ravel()
     return math.sqrt(cfg.n2 * C_POVM * float(diff @ diff))

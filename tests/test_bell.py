@@ -17,7 +17,6 @@ from bellgamma.bell import (
     _measured_density,
     _plan_positions,
     _project_mat,
-    _quadruple_columns,
     _target_probabilities,
 )
 from bellgamma.linalg import coeff_quadruples, pair_index
@@ -231,7 +230,9 @@ def test_simulate_validates_shots(bell_2x3):
     with pytest.raises(ValueError, match="shots"):
         bg.simulate_shots(bell_2x3, shots=0)
     with pytest.raises(ValueError, match="shots"):
-        bg.simulate_shots(bell_2x3)  # no shots and no plan default
+        bg.simulate_shots(bell_2x3)
+    with pytest.raises(ValueError, match="shots"):
+        bg.simulate_shots(bell_2x3, bg.plan_measurement(bell_2x3.dims))  # no shots default
 
 
 def test_simulate_without_a_plan_builds_only_the_targets(bell_2x3, monkeypatch):
@@ -326,12 +327,6 @@ def test_simulate_nonzero_coefficient_estimates_converge(dims_2x3):
             for s in range(30)
         ]
         assert abs(statistics.mean(ests) - truth) < tol
-
-
-def test_simulate_respects_plan_shots_default(bell_2x3):
-    plan = bg.plan_measurement(bell_2x3.dims, shots_per_projector=64)
-    est = bg.simulate_shots(bell_2x3, plan=plan, seed=0)
-    assert est.shots == 64
 
 
 def test_shot_error_table_medians(bell_2x3):
@@ -498,10 +493,39 @@ def test_batched_estimator_squares_like_the_scalar_term():
     shots = 10**5
     probs = np.random.default_rng(5).random((len(plan.targets), 2))
     hats = np.random.default_rng(6).binomial(shots, probs, size=(20000, *probs.shape)) / shots
-    _, cols = _quadruple_columns(plan.targets, dims)
+    _, _, cols = _plan_positions(bg.random_pure(dims, 0), plan)
     _, totals = _estimate(hats, cols, bg.PAPER_2X3.n2)
     want = [_reference_estimate(plan, rep.tolist(), shots)[1] for rep in hats]
     assert totals.tolist() == want
+
+
+@pytest.mark.parametrize("dims", ["2x2", "2x3", "3x2", "3x3", "4x4"])
+def test_restricted_plan_positions_follow_the_target_order(dims):
+    # The Schmidt-frame positions (kk, ll): the restricted plan's rows and
+    # columns are its targets', in _targets order, and -1 marks exactly the
+    # quadruple positions it leaves out.
+    d = bg.BipartiteDims.parse(dims)
+    size = min(d.m, d.n)
+    positions = {(pair_index(k, k, d), pair_index(l, l, d))
+                 for k in range(1, size + 1) for l in range(k + 1, size + 1)}
+    plan = _plan_restricted_to(bg.plan_measurement(d), positions)
+    rows, cols, pair_cols = _plan_positions(bg.random_pure(d, 0), plan)
+    assert rows.tolist() == [t.row - 1 for t in plan.targets]
+    assert cols.tolist() == [t.col - 1 for t in plan.targets]
+    index = {(t.k, t.l, t.p, t.q): i for i, t in enumerate(plan.targets)}
+    want = [[index.get((k, l, p, q), -1), index.get((k, l, q, p), -1)]
+            for k, l, p, q in coeff_quadruples(d.m, d.n)]
+    assert pair_cols.tolist() == want
+
+
+def test_a_plan_target_off_the_quadruple_positions_is_refused():
+    d = bg.BipartiteDims(2, 3)
+    plan = bg.plan_measurement(d)
+    first = plan.targets[0]
+    flipped = dataclasses.replace(first, row=first.col, col=first.row)
+    bad = dataclasses.replace(plan, targets=(flipped,) + plan.targets[1:])
+    with pytest.raises(ValueError, match="outside"):
+        bg.simulate_shots(bg.random_pure(d, 0), bad, exact=True)
 
 
 def test_vector_binomial_draws_equal_scalar_draws():

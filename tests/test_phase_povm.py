@@ -236,14 +236,14 @@ def test_gamma_via_povm_builds_each_level_pair_stack_once(dims, monkeypatch):
     # One batched build per side, and none for B when it has A's dimension.
     d = bg.BipartiteDims(*dims)
     built = []
-    build = bg.phase_povm._pair_stacks
+    build = bg.phase_povm._factor_stacks
 
-    def counted(dim, phase):
-        stacks = build(dim, phase)
+    def counted(dim, upper):
+        stacks = build(dim, upper)
         built.append(len(stacks))
         return stacks
 
-    monkeypatch.setattr(bg.phase_povm, "_pair_stacks", counted)
+    monkeypatch.setattr(bg.phase_povm, "_factor_stacks", counted)
     bg.gamma_via_povm(bg.random_density(d, 3), bg.PAPER_2X3, grid=4)
     pairs = d.m * (d.m - 1) // 2
     assert built == ([pairs] if d.n == d.m else [pairs, d.n * (d.n - 1) // 2])
@@ -252,13 +252,32 @@ def test_gamma_via_povm_builds_each_level_pair_stack_once(dims, monkeypatch):
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 @pytest.mark.parametrize("grid", [3, 4, 7])
 def test_pair_stacks_equal_the_per_pair_stacks(dim, grid):
-    angles = bg.phase_povm._grid_angles(grid)
-    stacks = bg.phase_povm._pair_stacks(dim, np.exp(1j * angles))
+    # Every factor the one builder writes, against the reference's
+    # conj-transpose add.  Direct writes may flip the sign of a zero
+    # imaginary part, which array_equal ignores and no product can see.
+    dims = bg.BipartiteDims(dim, dim)
+    rng = np.random.default_rng(100 * dim + grid)
+    phases = {pair: rng.uniform(0, TWO_PI) for pair in bg.level_pairs(dim)}
+    want = _reference_factor(phases, dim)
+    assert np.array_equal(bg.delta_a(phases, dims), want)
+    assert np.array_equal(bg.delta_b(phases, dims), want)
+    angles = TWO_PI * np.arange(grid) / grid
+    captured = []
+    build = bg.phase_povm._factor_stacks
+
+    def capture(d, upper):
+        captured.append(build(d, upper))
+        return captured[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bg.phase_povm, "_factor_stacks", capture)
+        bg.gamma_via_povm(bg.random_density(dims, 0), grid=grid)
     zeros = dict.fromkeys(bg.level_pairs(dim), 0.0)
-    assert len(stacks) == len(zeros)
+    (stacks,) = captured
+    assert stacks.shape == (len(zeros), grid, dim, dim)
     for stack, pair in zip(stacks, zeros):
-        want = bg.phase_povm._delta_stack({**zeros, pair: angles}, dim, grid)
-        assert stack.tobytes() == want.tobytes()
+        for factor, angle in zip(stack, angles):
+            assert np.array_equal(factor, _reference_factor({**zeros, pair: angle}, dim))
 
 
 def test_grid_above_the_cap_is_refused(bell_2x3):

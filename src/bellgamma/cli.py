@@ -84,12 +84,13 @@ SIMULATE_COLUMNS = ["shots", "rep", "gamma_hat", "abs_error"]
 
 def fmt(value) -> str:
     """17-significant-digit text for floats; empty for missing values."""
+    # floats first, most rows being floats; None and bool are not floats
+    if isinstance(value, float):
+        return format(value, ".17g")
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
     return str(value)
 
 
@@ -100,8 +101,7 @@ def _emit_rows(rows: list[dict], columns: list[str], output: str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([fmt(row.get(col)) for col in columns])
+    writer.writerows([fmt(row.get(col)) for col in columns] for row in rows)
     sys.stdout.write(buf.getvalue())
 
 

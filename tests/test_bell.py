@@ -17,6 +17,7 @@ from bellgamma.bell import (
     _measured_density,
     _plan_positions,
     _project_mat,
+    _rep_states,
     _target_probabilities,
 )
 from bellgamma.linalg import coeff_quadruples, pair_index
@@ -433,12 +434,12 @@ def _reference_table(state, shots_list, reps, seed, phase_rotation=None):
 SHOTS_LIST = [1, 10, 1000, 10**6]
 
 
-def _assert_table_matches_reference(state, phase_rotation=None):
+def _assert_table_matches_reference(state, phase_rotation=None, seed=11):
     rows, medians = bg.shot_error_table(
-        state, SHOTS_LIST, reps=6, seed=11, phase_rotation=phase_rotation
+        state, SHOTS_LIST, reps=6, seed=seed, phase_rotation=phase_rotation
     )
     ref_rows, ref_medians = _reference_table(
-        state, SHOTS_LIST, 6, 11, phase_rotation=phase_rotation
+        state, SHOTS_LIST, 6, seed, phase_rotation=phase_rotation
     )
     assert rows == ref_rows  # shots, rep, gamma_hat and abs_error, exactly
     assert medians == ref_medians
@@ -459,6 +460,62 @@ def test_batched_simulation_equals_reference_on_rotated_density():
     dims = bg.BipartiteDims(2, 3)
     rho = bg.random_density(dims, 3)
     _assert_table_matches_reference(rho, bg.random_local_unitary(dims, 4))
+
+
+def test_batched_simulation_equals_reference_at_a_multi_word_seed():
+    # A seed of 2**64 or more is three 32-bit words, so the entropy of each
+    # rep is five words and runs through SeedSequence's tail loop.
+    _assert_table_matches_reference(bg.random_pure(bg.BipartiteDims(3, 3), 7), seed=2**64 + 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 3**150])
+def test_rep_states_equal_numpys_seeded_pcg64_states(seed):
+    for n_counts in range(1, 6):
+        for reps in (1, 2, 3, 24, 25):
+            want = [
+                np.random.PCG64(np.random.SeedSequence((seed, si, rep))).state
+                for si in range(n_counts)
+                for rep in range(reps)
+            ]
+            assert list(_rep_states(seed, n_counts, reps)) == want
+
+
+def test_shot_error_table_refuses_seeds_numpy_refuses(bell_2x3):
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.SeedSequence((-1, 0, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        bg.shot_error_table(bell_2x3, [100], reps=2, seed=-1)
+    with pytest.raises(TypeError):
+        np.random.SeedSequence((1.5, 0, 0))
+    with pytest.raises(TypeError):
+        bg.shot_error_table(bell_2x3, [100], reps=2, seed=1.5)
+
+
+def test_shot_error_table_builds_no_generator_per_rep(bell_2x3, monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(np.random, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("SeedSequence", "default_rng"):
+        monkeypatch.setattr(np.random, name, counting(name))
+    rows, _ = bg.shot_error_table(bell_2x3, [10, 100, 1000], reps=5, seed=2)
+    assert len(rows) == 15
+    assert calls == []
+
+
+def test_shot_error_table_refuses_a_repeated_shot_count(bell_2x3):
+    # the medians are keyed by shot count, so a repeat would merge two groups
+    with pytest.raises(ValueError, match="distinct"):
+        bg.shot_error_table(bell_2x3, [100, 100], reps=3, seed=1)
+    with pytest.raises(ValueError, match="distinct"):
+        bg.shot_error_table(bell_2x3, [10, 100, 10], reps=1, seed=1)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 5)])

@@ -385,6 +385,16 @@ def test_simulate_accepts_the_largest_shot_count(capsys, bell_file):
     assert len(_parse_csv(out)) == 1
 
 
+def test_simulate_rejects_a_repeated_shot_count(capsys, bell_file):
+    code, out, err = _run(
+        capsys,
+        ["simulate", bell_file, "--shots", "100", "--shots", "100", "--reps", "3", "--seed", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: shot counts must be distinct, got [100, 100]\n"
+
+
 @pytest.mark.parametrize("reps", ["0", "-2"])
 def test_simulate_rejects_non_positive_reps(capsys, bell_file, reps):
     code, out, err = _run(capsys, ["simulate", bell_file, "--shots", "10", "--reps", reps])
@@ -779,3 +789,22 @@ def test_output_digest_script_prints_its_pinned_digests(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == PINNED_DIGESTS
     assert list(tmp_path.iterdir()) == []
+
+
+def _reference_fmt(value):
+    # The isinstance chain fmt had before it dispatched on exact types.
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def test_fmt_matches_the_isinstance_chain_on_every_kind_of_value():
+    values = [None, True, False, 0, -3, 2**70, 0.1, -0.0, 1e-300, float("inf"), float("nan"),
+              np.float64(0.1), np.float64("nan"), np.int64(7), np.bool_(True), "2x3",
+              "pure;sep", 1 + 2j]
+    for value in values:
+        assert bellgamma.cli.fmt(value) == _reference_fmt(value), value

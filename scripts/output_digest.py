@@ -83,6 +83,8 @@ CORPUS = {
         ["simulate", "rho-2x3.json", "--shots", "500"],
         ["simulate", "rho-2x2.json", "--shots", "500", "--phase-rotation", "rot-2x3.json"],
         ["simulate", "pure-2x2.json", "--shots", "0"],
+        ["simulate", "pure-3x3.json", "--shots", "10000", "--shots", "100", "--reps", "2"],
+        ["simulate", "pure-2x2.json", "--shots", "10", "--reps", "1000000000000000"],
     ],
     "conjecture": [
         ["conjecture", "--dims", "2x2", "--dims", "2x3", "--trials", "2", "--threads", "1"],

@@ -11,18 +11,17 @@ input the simulator applies that rotation per target (a phase on A level
 k, read off the amplitudes), which turns Re rho[r, c] into |rho[r, c]|;
 mixed input needs a rotation from the caller.  The exact outcome
 probabilities of all targets are computed once per state, in closed form
-as one gather from the density matrix.  Each repetition draws from its own
-seed, ``SeedSequence((seed, si, rep))``; the PCG64 states those seeds give
-are derived for all repetitions in one vectorized pass, and one generator
-is set to each state in turn, so a repetition costs one state assignment
-and one binomial call.  The estimates of all repetitions are one batch.
+as one gather from the density matrix.  Each shot count ``shots`` draws
+from its own stream, ``SeedSequence((seed, shots))``, one binomial call for
+all its repetitions, rep ``rep`` being the stream's (rep + 1)-th draw; so a
+count's rows do not depend on which other counts are run, or in what order,
+and fewer repetitions give a prefix of the rows of more.  The estimates of
+all repetitions are one batch.
 """
 
 from __future__ import annotations
 
-import operator
 import statistics
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,6 +334,11 @@ def _estimate(
 #: numpy draws binomial counts with the trial count as a C long.
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 
+#: Largest shot-error table, in draws (shot counts x reps x projectors).
+#: At its peak a table holds 20 (4x4) to 70 (2x2, where the per-rep rows
+#: dominate) bytes per draw, so the cap keeps one under about 70 MB.
+MAX_DRAWS = 10**6
+
 
 def _plan_positions(
     state: PureState | DensityOperator, plan: MeasurementPlan | None
@@ -440,110 +444,6 @@ class ShotErrorRow:
     abs_error: float
 
 
-# numpy's SeedSequence hash (after O'Neill's seed_seq): the multiplier chain
-# of the pool, that of the output words, and the pool mixer's multipliers.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-#: PCG64's 128-bit LCG multiplier (O'Neill's PCG_DEFAULT_MULTIPLIER_128).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _seed_words(seed) -> list[int]:
-    """The 32-bit words numpy makes of an integer seed, low word first;
-    0 gives [0].  Refuses what ``SeedSequence`` refuses."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    return words
-
-
-def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
-    """The hash constants of ``calls`` successive hashmix calls, as a
-    (calls + 1, 1) uint32 column: call i xors with entry i and multiplies
-    by entry i + 1, since each call advances the constant by ``mult``."""
-    chain = [init]
-    for _ in range(calls):
-        chain.append(chain[-1] * mult & _MASK32)
-    return np.array(chain, dtype=np.uint32)[:, np.newaxis]
-
-
-def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """One hashmix call per leading entry of ``values``, the i-th with
-    constants ``chain[i]`` and ``chain[i + 1]``."""
-    values = (values ^ chain[:-1]) * chain[1:]
-    return values ^ (values >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_L * x - _MIX_R * y
-    return result ^ (result >> 16)
-
-
-def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(column).generate_state(4, np.uint64)`` for every
-    column of the (words, rows) uint32 array ``entropy``; shape (rows, 4).
-
-    Every row has as many words, so the hash constants run through the same
-    chain for all rows.  numpy's loops hash each source word afresh for
-    every pool word it mixes into, so the calls of one source word are one
-    array operation.  uint32 arrays wrap modulo 2**32, as the C code's
-    uint32_t does.
-    """
-    n_words, rows = entropy.shape
-    extra = max(n_words - _POOL_SIZE, 0)
-    chain = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
-    pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
-    pool[:n_words] = entropy[:_POOL_SIZE]
-    pool = _hashmix(pool, chain[: _POOL_SIZE + 1])
-    call = _POOL_SIZE
-    # mix every pool word into the others, then each further entropy word
-    # into all of them
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain[call : call + _POOL_SIZE]))
-        call += _POOL_SIZE - 1
-    for word in entropy[_POOL_SIZE:]:
-        pool = _mix(pool, _hashmix(word, chain[call : call + _POOL_SIZE + 1]))
-        call += _POOL_SIZE
-    # the output cycles through the pool, two 32-bit words per uint64, low
-    # word first
-    out = _hashmix(np.concatenate([pool, pool]), _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
-    return out.T.astype("<u4", order="C").view("<u8")
-
-
-def _rep_states(seed, n_counts: int, reps: int) -> Iterator[dict]:
-    """The state of ``np.random.PCG64(np.random.SeedSequence((seed, si,
-    rep)))`` for every shot-count index ``si`` and rep, si-major, yielded
-    one at a time so that only one state dict is alive at once.
-
-    A tuple's entropy is its items' words in turn, and si and rep fit one
-    word each.  PCG64 seeds from the four uint64 words (s0, s1, q0, q1):
-    inc = 2(q0 q1) + 1, and two LCG steps from 0 with s0 s1 added between
-    them give state = (inc + (s0 s1)) * mult + inc, all modulo 2**128.
-    """
-    words = _seed_words(seed)
-    entropy = np.empty((len(words) + 2, n_counts * reps), dtype=np.uint32)
-    entropy[:-2] = np.array(words, dtype=np.uint32)[:, np.newaxis]
-    entropy[-2:] = np.divmod(np.arange(n_counts * reps), reps)
-    for words in _seed_sequence_states(entropy):
-        s0, s1, q0, q1 = words.tolist()
-        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-        yield {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-
 def shot_error_table(
     state: PureState | DensityOperator,
     shots_list,
@@ -560,16 +460,18 @@ def shot_error_table(
     rotated by ``phase_rotation`` when one is given.
 
     The exact outcome probabilities are computed once per state, in closed
-    form (see ``_target_probabilities``).  Each rep draws its own counts:
-    rep ``rep`` of shot count ``shots_list[si]`` draws from
-    ``SeedSequence((seed, si, rep))``, so each row equals the
-    ``simulate_shots`` estimate with that seed.  The PCG64 states of all
-    those seeds are derived in one vectorized pass (``_rep_states``), and
-    one generator is set to each in turn before its binomial call; no rep
-    builds a seed sequence or a generator of its own.  The frequencies of
-    every rep of every shot count are then estimated in one batch.
+    form (see ``_target_probabilities``).  Each shot count ``shots`` has its
+    own stream, ``default_rng(SeedSequence((seed, shots)))``, and all its
+    reps are one ``binomial`` call on it: rep ``rep`` is the (rep + 1)-th
+    draw of the probability vector, so rep 0 equals the ``simulate_shots``
+    estimate with seed ``SeedSequence((seed, shots))``.  A count's rows
+    therefore do not depend on the other counts of the call or their order,
+    and the rows of fewer reps are a prefix of those of more.  The
+    frequencies of every rep of every shot count are estimated in one batch.
 
-    The medians are keyed by shot count, so a repeated count is refused.
+    The medians are keyed by shot count, so a repeated count is refused, and
+    so is a table of more than ``MAX_DRAWS`` draws (shot counts x reps x
+    projectors), before anything is allocated.
     """
     shots_list = list(shots_list)
     if reps < 1:
@@ -578,18 +480,21 @@ def shot_error_table(
     if len(set(shots_list)) != len(shots_list):
         raise ValueError(f"shot counts must be distinct, got {shots_list}")
     rows, cols, pair_cols = _plan_positions(state, plan)
+    draws = len(shots_list) * reps * 2 * len(rows)
+    if draws > MAX_DRAWS:
+        raise ValueError(
+            f"table too large: {len(shots_list)} shot counts x {reps} reps x "
+            f"{2 * len(rows)} projectors is {draws} draws, at most {MAX_DRAWS}"
+        )
     # the probabilities are read in the rotated frame, so gamma is too
     rho = _measured_density(state, phase_rotation)
     truth = gamma(rho, cfg).total
     probs = _target_probabilities(rho.mat, rows, cols, isinstance(state, PureState)).ravel()
-    bit_generator = np.random.PCG64(0)  # its seed is replaced before every draw
-    draw = np.random.Generator(bit_generator).binomial
-    counts = np.empty((len(shots_list) * reps, len(probs)), dtype=np.int64)
-    for row, rep_state in enumerate(_rep_states(seed, len(shots_list), reps)):
-        bit_generator.state = rep_state
-        counts[row] = draw(shots_list[row // reps], probs)
-    trials = np.repeat(np.array(shots_list, dtype=np.int64), reps)[:, np.newaxis]
-    _, totals = _estimate((counts / trials).reshape(len(counts), -1, 2), pair_cols, cfg.n2)
+    hats = np.empty((len(shots_list), reps, len(probs)))
+    for freqs, shots in zip(hats, shots_list):
+        draw = np.random.default_rng(np.random.SeedSequence((seed, shots))).binomial
+        np.divide(draw(shots, probs, size=freqs.shape), shots, out=freqs)
+    _, totals = _estimate(hats.reshape(len(shots_list) * reps, -1, 2), pair_cols, cfg.n2)
     rows = []
     medians: dict[int, float] = {}
     for shots, gammas in zip(shots_list, totals.reshape(len(shots_list), reps).tolist()):

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from .bell import shot_error_table
+from .bell import MAX_DRAWS, shot_error_table
 from .linalg import BipartiteDims, check_input_dims
 from .local_unitary import (
     OVERSHOOT_MARGIN,
@@ -402,7 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="shots per projector (repeatable for a convergence table)",
     )
-    p_sim.add_argument("--reps", type=int, default=20)
+    p_sim.add_argument(
+        "--reps",
+        type=int,
+        default=20,
+        help=(
+            "repetitions per shot count (default: 20); shot counts x reps x "
+            f"M(M-1)N(N-1) projectors may total at most {MAX_DRAWS} draws"
+        ),
+    )
     p_sim.add_argument(
         "--phase-rotation",
         default=None,

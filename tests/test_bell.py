@@ -17,7 +17,6 @@ from bellgamma.bell import (
     _measured_density,
     _plan_positions,
     _project_mat,
-    _rep_states,
     _target_probabilities,
 )
 from bellgamma.linalg import coeff_quadruples, pair_index
@@ -387,6 +386,8 @@ def _reference_probabilities(state, plan, phase_rotation=None):
 
 
 def _reference_simulate(state, shots, seed, phase_rotation=None):
+    # default_rng returns a Generator seed as it is, so calls given the same
+    # generator draw from it in turn.
     rng = np.random.default_rng(seed)
     plan = bg.plan_measurement(state.dims)
     hats = [
@@ -413,17 +414,18 @@ def _reference_estimate(plan, hats, shots, cfg=bg.PAPER_2X3):
 
 
 def _reference_table(state, shots_list, reps, seed, phase_rotation=None):
+    # Each shot count has one generator; its reps draw from it in turn.
     rho = bg.pure_to_density(state) if isinstance(state, bg.PureState) else state
     if phase_rotation is not None:
         rho = bg.apply_local_density(rho, phase_rotation)
     truth = bg.gamma(rho, bg.PAPER_2X3).total
     rows = []
     medians = {}
-    for si, shots in enumerate(shots_list):
+    for shots in shots_list:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, shots)))
         errs = []
         for rep in range(reps):
-            rep_seed = np.random.SeedSequence((seed, si, rep))
-            _, total = _reference_simulate(state, shots, rep_seed, phase_rotation)
+            _, total = _reference_simulate(state, shots, rng, phase_rotation)
             err = abs(total - truth)
             rows.append(ShotErrorRow(shots=shots, rep=rep, gamma_hat=total, abs_error=err))
             errs.append(err)
@@ -463,21 +465,8 @@ def test_batched_simulation_equals_reference_on_rotated_density():
 
 
 def test_batched_simulation_equals_reference_at_a_multi_word_seed():
-    # A seed of 2**64 or more is three 32-bit words, so the entropy of each
-    # rep is five words and runs through SeedSequence's tail loop.
+    # A seed of 2**64 or more is three 32-bit words of each count's entropy.
     _assert_table_matches_reference(bg.random_pure(bg.BipartiteDims(3, 3), 7), seed=2**64 + 3)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 3**150])
-def test_rep_states_equal_numpys_seeded_pcg64_states(seed):
-    for n_counts in range(1, 6):
-        for reps in (1, 2, 3, 24, 25):
-            want = [
-                np.random.PCG64(np.random.SeedSequence((seed, si, rep))).state
-                for si in range(n_counts)
-                for rep in range(reps)
-            ]
-            assert list(_rep_states(seed, n_counts, reps)) == want
 
 
 def test_shot_error_table_refuses_seeds_numpy_refuses(bell_2x3):
@@ -507,7 +496,61 @@ def test_shot_error_table_builds_no_generator_per_rep(bell_2x3, monkeypatch):
         monkeypatch.setattr(np.random, name, counting(name))
     rows, _ = bg.shot_error_table(bell_2x3, [10, 100, 1000], reps=5, seed=2)
     assert len(rows) == 15
-    assert calls == []
+    # one seed sequence and one generator per shot count, none per rep
+    assert calls == ["SeedSequence", "default_rng"] * 3
+
+
+def _rows_of(rows, shots):
+    return [r for r in rows if r.shots == shots]
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**64 + 3])
+def test_rep_zero_is_the_simulate_shots_estimate_of_its_count(seed):
+    psi = bg.random_pure(bg.BipartiteDims(3, 3), 5)
+    rows, _ = bg.shot_error_table(psi, [10, 1000, 10**6], reps=4, seed=seed)
+    for shots in (10, 1000, 10**6):
+        est = bg.simulate_shots(psi, shots=shots, seed=np.random.SeedSequence((seed, shots)))
+        assert _rows_of(rows, shots)[0].gamma_hat == est.total
+
+
+def test_a_counts_rows_do_not_depend_on_the_other_counts():
+    psi = bg.random_pure(bg.BipartiteDims(2, 3), 8)
+    alone = {
+        shots: bg.shot_error_table(psi, [shots], reps=6, seed=3)
+        for shots in (10, 1000)
+    }
+    for order in ([1000, 10], [10, 1000]):
+        rows, medians = bg.shot_error_table(psi, order, reps=6, seed=3)
+        assert [r.shots for r in rows] == [s for s in order for _ in range(6)]
+        for shots, (rows_alone, medians_alone) in alone.items():
+            assert _rows_of(rows, shots) == list(rows_alone)
+            assert medians[shots] == medians_alone[shots]
+
+
+def test_fewer_reps_give_a_prefix_of_the_rows():
+    psi = bg.random_pure(bg.BipartiteDims(2, 4), 6)
+    short, _ = bg.shot_error_table(psi, [100, 10], reps=5, seed=7)
+    long, _ = bg.shot_error_table(psi, [100, 10], reps=20, seed=7)
+    for shots in (100, 10):
+        assert _rows_of(short, shots) == _rows_of(long, shots)[:5]
+
+
+def test_shot_error_table_refuses_a_table_over_the_draw_cap(bell_2x3, monkeypatch):
+    # The refusal comes before any draw, so these sizes allocate nothing.
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match="too large.*at most 1000000"):
+        bg.shot_error_table(bell_2x3, [10], reps=10**15, seed=0)
+    with pytest.raises(ValueError, match="too large"):
+        bg.shot_error_table(bell_2x3, [10, 100], reps=bg.bell.MAX_DRAWS // 24 + 1, seed=0)
+
+
+def test_the_draw_cap_admits_a_table_of_exactly_its_size(bell_2x3, monkeypatch):
+    # 2x3 has 12 projectors: two counts of one rep are 24 draws.
+    monkeypatch.setattr(bg.bell, "MAX_DRAWS", 24)
+    rows, _ = bg.shot_error_table(bell_2x3, [10, 100], reps=1, seed=0)
+    assert len(rows) == 2
+    with pytest.raises(ValueError, match="2 shot counts x 2 reps x 12 projectors is 48"):
+        bg.shot_error_table(bell_2x3, [10, 100], reps=2, seed=0)
 
 
 def test_shot_error_table_refuses_a_repeated_shot_count(bell_2x3):

@@ -403,6 +403,17 @@ def test_simulate_rejects_non_positive_reps(capsys, bell_file, reps):
     assert "reps" in err
 
 
+def test_simulate_refuses_a_table_over_the_draw_cap(capsys, bell_file):
+    # Refused before any draw: this would be 12 * 10**15 draws at 2x3.
+    code, out, err = _run(
+        capsys, ["simulate", bell_file, "--shots", "10", "--reps", "1000000000000000"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: table too large: 1 shot counts x 1000000000000000 reps")
+    assert err.endswith(f"at most {bg.bell.MAX_DRAWS}\n")
+
+
 def test_simulate_mixed_needs_rotation(capsys, tmp_path):
     path = tmp_path / "mixed.qstate.json"
     bg.save_state(path, bg.random_density(bg.BipartiteDims(2, 2), 2))
@@ -774,7 +785,7 @@ def test_example_script_writes_five_states_to_the_given_dir(capsys, tmp_path, mo
 PINNED_DIGESTS = (
     "measure calls=18 sha256=03c7b9f3cf039fb34b460279be3712122cb159f7ebe615ca9d8d5305a4364739\n"
     "povm-check calls=18 sha256=c7e33e1bd29178fe04fa3287cdbe86a45b79aa35d637aa25f81efd323ccc8bdb\n"
-    "simulate calls=12 sha256=c31a32fe791d33092944b5711b8dbf7b41d30333bd57e7be009742085f198f2e\n"
+    "simulate calls=14 sha256=36c84475f8c4efa4100a83c4d9d192fb64ee6a23e3b7ac453ed84c19ec40bc7c\n"
     "conjecture calls=3 sha256=4eeff223e2c91acdea3cca157d4ebf8207b9566942d1bd5627ca055f6bf34124\n"
 )
 

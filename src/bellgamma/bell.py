@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -436,8 +437,9 @@ def simulate_shots(
     )
 
 
-@dataclass(frozen=True)
-class ShotErrorRow:
+class ShotErrorRow(NamedTuple):
+    """One rep of the shot-noise table; the fields are its columns, in order."""
+
     shots: int
     rep: int
     gamma_hat: float
@@ -469,6 +471,9 @@ def shot_error_table(
     and the rows of fewer reps are a prefix of those of more.  The
     frequencies of every rep of every shot count are estimated in one batch.
 
+    Each row is built once, as a ``ShotErrorRow`` tuple in column order,
+    ready to be written as it is.
+
     The medians are keyed by shot count, so a repeated count is refused, and
     so is a table of more than ``MAX_DRAWS`` draws (shot counts x reps x
     projectors), before anything is allocated.
@@ -499,9 +504,6 @@ def shot_error_table(
     medians: dict[int, float] = {}
     for shots, gammas in zip(shots_list, totals.reshape(len(shots_list), reps).tolist()):
         errs = [abs(total - truth) for total in gammas]
-        rows.extend(
-            ShotErrorRow(shots=shots, rep=rep, gamma_hat=total, abs_error=err)
-            for rep, (total, err) in enumerate(zip(gammas, errs))
-        )
+        rows.extend(map(ShotErrorRow, [shots] * reps, range(reps), gammas, errs))
         medians[shots] = statistics.median(errs)
     return tuple(rows), medians

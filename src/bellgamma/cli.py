@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from .bell import MAX_DRAWS, shot_error_table
+from .bell import MAX_DRAWS, ShotErrorRow, shot_error_table
 from .linalg import BipartiteDims, check_input_dims
 from .local_unitary import (
     OVERSHOOT_MARGIN,
@@ -68,6 +68,7 @@ REPORT_COLUMNS = [
     "flags",
 ]
 
+#: The ``ConjectureRow`` fields, with ``schmidt_gamma`` printed as ``gamma_schmidt``.
 CONJECTURE_COLUMNS = [
     "dims",
     "trial",
@@ -79,7 +80,7 @@ CONJECTURE_COLUMNS = [
     "converged",
 ]
 
-SIMULATE_COLUMNS = ["shots", "rep", "gamma_hat", "abs_error"]
+SIMULATE_COLUMNS = list(ShotErrorRow._fields)
 
 
 def fmt(value) -> str:
@@ -94,14 +95,16 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _emit_rows(rows: list[dict], columns: list[str], output: str) -> None:
+def _emit_rows(rows, columns: list[str], output: str) -> None:
+    """Print ``rows``, each a sequence of values in ``columns`` order: as CSV
+    under a header line, or as a JSON list of objects keyed by column."""
     if output == "json":
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([dict(zip(columns, row, strict=True)) for row in rows], indent=2))
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([fmt(row.get(col)) for col in columns] for row in rows)
+    writer.writerows([fmt(value) for value in row] for row in rows)
     sys.stdout.write(buf.getvalue())
 
 
@@ -214,27 +217,23 @@ def cmd_measure(args) -> int:
         elif sup_gamma <= SEPARABLE_TOL:
             flags.append(SEPARABLE_FLAG)
 
-    row = {
-        "state": args.state,
-        "dims": dims.label(),
-        "n2_preset": cfg.preset,
-        "n2": cfg.n2,
-        "gamma": breakdown.total,
-        "gamma_sup": sup_gamma,
-        "gamma_schmidt": schmidt_val,
-        "i_concurrence": ic,
-        "concurrence_general4": cg4,
-        "concurrence_2x3": c23,
-        "povm_gamma": povm,
-        "dev_povm_vs_gamma": abs(povm - breakdown.total),
-        "dev_sup_vs_schmidt": (
-            sup_gamma - schmidt_val if schmidt_val is not None else None
-        ),
-        "dev_general4_vs_iconc": (
-            abs(cg4 - ic) if cg4 is not None and ic is not None else None
-        ),
-        "flags": ";".join(flags),
-    }
+    row = (  # in REPORT_COLUMNS order
+        args.state,
+        dims.label(),
+        cfg.preset,
+        cfg.n2,
+        breakdown.total,
+        sup_gamma,
+        schmidt_val,
+        ic,
+        cg4,
+        c23,
+        povm,
+        abs(povm - breakdown.total),
+        sup_gamma - schmidt_val if schmidt_val is not None else None,
+        abs(cg4 - ic) if cg4 is not None and ic is not None else None,
+        ";".join(flags),
+    )
     _emit_rows([row], REPORT_COLUMNS, args.output)
     return 0
 
@@ -247,20 +246,7 @@ def cmd_conjecture(args) -> int:
     report = conjecture_sweep(
         dims_list, args.trials, args.seed, cfg, threads=args.threads
     )
-    rows = [
-        {
-            "dims": r.dims,
-            "trial": r.trial,
-            "i_concurrence": r.i_concurrence,
-            "gamma_schmidt": r.schmidt_gamma,
-            "best_gamma": r.best_gamma,
-            "deviation": r.deviation,
-            "overshoot": r.overshoot,
-            "converged": r.converged,
-        }
-        for r in report.rows
-    ]
-    _emit_rows(rows, CONJECTURE_COLUMNS, args.output)
+    _emit_rows(report.rows, CONJECTURE_COLUMNS, args.output)
     worst = 0.0
     for summary in report.summaries:
         print(
@@ -309,7 +295,7 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    rows_raw, medians = shot_error_table(
+    rows, medians = shot_error_table(
         state,
         args.shots,
         reps=args.reps,
@@ -317,15 +303,6 @@ def cmd_simulate(args) -> int:
         cfg=cfg,
         phase_rotation=rotation,
     )
-    rows = [
-        {
-            "shots": r.shots,
-            "rep": r.rep,
-            "gamma_hat": r.gamma_hat,
-            "abs_error": r.abs_error,
-        }
-        for r in rows_raw
-    ]
     _emit_rows(rows, SIMULATE_COLUMNS, args.output)
     for shots in args.shots:
         print(

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -627,8 +628,10 @@ def maximize_gamma(
 # Conjecture harness: does the supremum equal I-concurrence?
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(NamedTuple):
+    """One trial of the sweep; the fields are the ``conjecture`` columns, in
+    order (``schmidt_gamma`` is printed as ``gamma_schmidt``)."""
+
     dims: str
     trial: int
     i_concurrence: float

@@ -139,6 +139,8 @@ def _read_json(path: Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:  # json decodes arrays and objects recursively
+        raise StateFileError(f"{path}: not valid JSON (nested too deeply)") from exc
 
 
 def load_state(path, renormalize: bool = False) -> PureState | DensityOperator:

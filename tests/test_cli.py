@@ -52,6 +52,19 @@ def _parse_csv(text):
     return rows
 
 
+def _csv_and_json_tables(capsys, argv):
+    """The CSV header and rows of ``argv``, after checking that its
+    ``--output json`` table holds the same columns and values."""
+    code, out, _ = _run(capsys, argv)
+    json_code, json_out, _ = _run(capsys, argv + ["--output", "json"])
+    assert code == json_code
+    header, *cells = csv.reader(io.StringIO(out))
+    doc = json.loads(json_out)
+    assert [list(obj) for obj in doc] == [header] * len(cells)
+    assert [[bellgamma.cli.fmt(v) for v in obj.values()] for obj in doc] == cells
+    return header, cells
+
+
 def test_measure_bell_concurrence_matched(capsys, bell_file):
     code, out, _ = _run(
         capsys, ["measure", bell_file, "--n2-preset", "concurrence-matched"]
@@ -168,6 +181,9 @@ def test_measure_json_output(capsys, bell_file):
     assert doc[0]["dims"] == "2x3"
     assert doc[0]["n2_preset"] == "paper-2x3"
     assert doc[0]["gamma"] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    header, cells = _csv_and_json_tables(capsys, ["measure", bell_file])
+    assert header == bellgamma.cli.REPORT_COLUMNS
+    assert len(cells) == 1
 
 
 def test_measure_density_input_leaves_pure_fields_empty(capsys, tmp_path):
@@ -269,10 +285,8 @@ def test_povm_check_maximally_mixed(capsys, tmp_path):
 
 
 def test_conjecture_small_run(capsys):
-    code, out, err = _run(
-        capsys,
-        ["conjecture", "--dims", "2x2", "--trials", "3", "--seed", "7", "--threads", "1"],
-    )
+    argv = ["conjecture", "--dims", "2x2", "--trials", "3", "--seed", "7", "--threads", "1"]
+    code, out, err = _run(capsys, argv)
     assert code == 0
     assert out.splitlines()[0] == (
         "dims,trial,i_concurrence,gamma_schmidt,best_gamma,deviation,overshoot,converged"
@@ -281,6 +295,14 @@ def test_conjecture_small_run(capsys):
     assert len(rows) == 3
     assert all(float(r["deviation"]) < 1e-4 for r in rows)
     assert "max_deviation" in err
+    _csv_and_json_tables(capsys, argv)
+
+
+def test_conjecture_columns_are_the_row_fields_with_one_rename():
+    fields = bg.ConjectureRow._fields
+    columns = bellgamma.cli.CONJECTURE_COLUMNS
+    renamed = [(f, c) for f, c in zip(fields, columns, strict=True) if f != c]
+    assert renamed == [("schmidt_gamma", "gamma_schmidt")]
 
 
 def test_conjecture_reports_whether_each_search_converged(capsys, monkeypatch):
@@ -361,6 +383,9 @@ def test_simulate_csv_and_determinism(capsys, bell_file):
     assert "median_abs_error" in err
     _, out2, _ = _run(capsys, argv)
     assert out1 == out2
+    header, cells = _csv_and_json_tables(capsys, argv)
+    assert header == list(bg.bell.ShotErrorRow._fields)
+    assert len(cells) == 10
 
 
 def test_simulate_rejects_bad_shots(capsys, bell_file):
@@ -489,6 +514,21 @@ def test_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path, bell_file, wh
     assert code == 2
     assert out == ""
     assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize("which", ["measure", "povm-check", "rotation"])
+def test_json_nested_too_deeply_exits_2_naming_the_file(capsys, tmp_path, bell_file, which):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    argv = {
+        "measure": ["measure", str(deep)],
+        "povm-check": ["povm-check", str(deep)],
+        "rotation": ["simulate", bell_file, "--shots", "10", "--phase-rotation", str(deep)],
+    }[which]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {deep}: not valid JSON (nested too deeply)\n"
 
 
 def test_simulate_rejects_non_finite_rotation(capsys, tmp_path):

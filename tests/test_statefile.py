@@ -156,6 +156,21 @@ def test_loaders_report_files_that_are_not_utf8(tmp_path, load):
     assert str(info.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("load", [bg.load_state, bg.load_local_unitary])
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100000 + "]" * 100000, '{"a":' * 100000 + "1" + "}" * 100000],
+    ids=["arrays", "objects"],
+)
+def test_loaders_refuse_json_nested_too_deeply(tmp_path, load, text):
+    # json decodes nesting recursively, so this depth raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(StateFileError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: not valid JSON (nested too deeply)"
+
+
 def test_local_unitary_round_trip(tmp_path):
     u = bg.random_local_unitary(bg.BipartiteDims(2, 3), 5)
     doc = {

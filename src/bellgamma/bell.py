@@ -33,22 +33,15 @@ from .measures import PAPER_2X3, MeasureConfig, gamma
 from .states import BellState, DensityOperator, PureState, bell_vector, pure_to_density
 
 
-@dataclass(frozen=True)
-class BellFamily:
+def enumerate_bell(dims: BipartiteDims) -> tuple[BellState, ...]:
     """All M(M-1)N(N-1) Bell states of an m x n system: for each k<l and
     each unordered B pair, both pairing orientations and both signs."""
-
-    dims: BipartiteDims
-    states: tuple[BellState, ...]
-
-
-def enumerate_bell(dims: BipartiteDims) -> BellFamily:
-    states = []
-    for k, l, p, q in coeff_quadruples(dims.m, dims.n):
-        for pp, qq in ((p, q), (q, p)):
-            for sign in (1, -1):
-                states.append(BellState(k, l, pp, qq, sign))
-    return BellFamily(dims=dims, states=tuple(states))
+    return tuple(
+        BellState(k, l, pp, qq, sign)
+        for k, l, p, q in coeff_quadruples(dims.m, dims.n)
+        for pp, qq in ((p, q), (q, p))
+        for sign in (1, -1)
+    )
 
 
 def _named(entries) -> dict[str, BellState]:
@@ -240,32 +233,18 @@ def plan_measurement(dims: BipartiteDims) -> MeasurementPlan:
 
 
 @dataclass(frozen=True)
-class ShotTerm:
-    """Estimated coefficient pair for one quadruple.
+class ShotGammaEstimate:
+    """Gamma estimated from Bell projections, with its per-quadruple terms.
 
-    ``coeff_plus``/``coeff_minus`` are the |.| plug-in estimates; the
-    standard errors propagate the per-projector binomial errors
-    sqrt(P(1-P)/shots).  For a true-zero coefficient the plug-in estimate
-    has a positive bias of order 1/sqrt(shots).
+    ``terms[i]`` is the pair of |.| plug-in estimates of the plus and minus
+    coefficients of the i-th quadruple of ``linalg.coeff_quadruples``, and
+    ``se[i]`` their standard errors, which propagate the per-projector
+    binomial errors sqrt(P(1-P)/shots).  For a true-zero coefficient the
+    plug-in estimate has a positive bias of order 1/sqrt(shots).
     """
 
-    k: int
-    l: int
-    p: int
-    q: int
-    coeff_plus: float
-    coeff_minus: float
-    se_plus: float
-    se_minus: float
-
-    @property
-    def contribution(self) -> float:
-        return (self.coeff_plus - self.coeff_minus) ** 2
-
-
-@dataclass(frozen=True)
-class ShotGammaEstimate:
-    terms: tuple[ShotTerm, ...]
+    terms: tuple[tuple[float, float], ...]
+    se: tuple[tuple[float, float], ...]
     n2: float
     shots: int | None
     total: float
@@ -323,8 +302,8 @@ def _estimate(
     est = (hats[..., 0] - hats[..., 1]) / 2.0
     est = np.concatenate([est, np.zeros((len(est), 1))], axis=1)
     coeffs = np.abs(est[:, cols])
-    # float_power calls libm pow like the scalar ``** 2`` of
-    # ShotTerm.contribution; an array's ``** 2`` computes x*x, which differs
+    # float_power calls libm pow like a scalar ``(plus - minus) ** 2`` sum
+    # over Python floats; an array's ``** 2`` computes x*x, which differs
     # from it in the last bit for some inputs.  The terms are summed left to
     # right, as the scalar loop does, by a cumulative sum; np.sum's order
     # depends on the layout.
@@ -418,22 +397,13 @@ def simulate_shots(
         hats = counts.reshape(probs.shape) / shots
         var = hats * (1.0 - hats) / shots
         se = 0.5 * np.sqrt(var[:, 0] + var[:, 1])
-    quads = coeff_quadruples(state.dims.m, state.dims.n)
     coeffs, totals = _estimate(hats[np.newaxis], pair_cols, cfg.n2)
-    se = np.append(se, 0.0)[pair_cols]
-
-    terms = tuple(
-        ShotTerm(
-            k=k, l=l, p=p, q=q,
-            coeff_plus=c_p, coeff_minus=c_m,
-            se_plus=se_p, se_minus=se_m,
-        )
-        for (k, l, p, q), (c_p, c_m), (se_p, se_m) in zip(
-            quads, coeffs[0].tolist(), se.tolist()
-        )
-    )
     return ShotGammaEstimate(
-        terms=terms, n2=cfg.n2, shots=None if exact else shots, total=float(totals[0])
+        terms=tuple(map(tuple, coeffs[0].tolist())),
+        se=tuple(map(tuple, np.append(se, 0.0)[pair_cols].tolist())),
+        n2=cfg.n2,
+        shots=None if exact else shots,
+        total=float(totals[0]),
     )
 
 

@@ -40,7 +40,7 @@ from .measures import (
 )
 from .phase_povm import gamma_via_povm
 from .states import DensityOperator, PureState, pure_to_density, schmidt
-from .statefile import StateFileError, load_local_unitary, load_state
+from .statefile import load_local_unitary, load_state
 
 SEPARABLE_FLAG = "separable-by-gamma-criterion"
 SEPARABLE_TOL = 1e-12
@@ -405,10 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # StateFileError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

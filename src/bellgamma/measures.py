@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import BipartiteDims, _quadruple_arrays, coeff_quadruples
+from .linalg import BipartiteDims, _quadruple_arrays
 from .states import DensityOperator, PureState, SchmidtDecomposition, schmidt
 
 #: Named normalization presets.
@@ -77,26 +77,15 @@ UNNORMALIZED = MeasureConfig.from_preset("unnormalized")
 
 
 @dataclass(frozen=True)
-class GammaTerm:
-    """One quadruple's contribution to gamma."""
-
-    k: int
-    l: int
-    p: int
-    q: int
-    coeff_plus: float
-    coeff_minus: float
-
-    @property
-    def contribution(self) -> float:
-        return (self.coeff_plus - self.coeff_minus) ** 2
-
-
-@dataclass(frozen=True)
 class GammaBreakdown:
-    """Gamma together with its per-quadruple terms."""
+    """Gamma together with its per-quadruple terms.
 
-    terms: tuple[GammaTerm, ...]
+    ``terms[i]`` is the modulus pair (|rho[kp, lq]|, |rho[kq, lp]|) of the
+    i-th quadruple of ``linalg.coeff_quadruples``; it adds
+    (plus - minus) ** 2 to the sum under the square root.
+    """
+
+    terms: tuple[tuple[float, float], ...]
     n2: float
     total: float
 
@@ -135,11 +124,9 @@ def _gamma_of_pairs(pairs: np.ndarray, n2: float) -> np.ndarray:
 def _breakdown(mat: np.ndarray, dims: BipartiteDims, n2: float) -> GammaBreakdown:
     pairs = _paired_coefficients(mat, dims.m, dims.n)
     plus, minus = np.abs(pairs).reshape(2, -1).tolist()
-    terms = tuple(
-        GammaTerm(k, l, p, q, cp, cm)
-        for (k, l, p, q), cp, cm in zip(coeff_quadruples(dims.m, dims.n), plus, minus)
+    return GammaBreakdown(
+        terms=tuple(zip(plus, minus)), n2=n2, total=float(_gamma_of_pairs(pairs, n2))
     )
-    return GammaBreakdown(terms=terms, n2=n2, total=float(_gamma_of_pairs(pairs, n2)))
 
 
 def gamma(rho: DensityOperator, cfg: MeasureConfig = PAPER_2X3) -> GammaBreakdown:

@@ -134,16 +134,6 @@ def delta_joint(assignment: PhaseAssignment, dims: BipartiteDims) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class FourierComponent:
-    k: int
-    l: int
-    p: int
-    q: int
-    branch: str
-    magnitude: float
-
-
 def _grid_angles(grid: int) -> np.ndarray:
     return TWO_PI * np.arange(grid) / grid
 
@@ -229,7 +219,7 @@ def fourier_component(
     branch: str,
     grid: int = 4,
     base: PhaseAssignment | None = None,
-) -> FourierComponent:
+) -> float:
     """Extract one coefficient magnitude from the phase-operator expectation.
 
     ``branch`` "+" weights by e^(i(phi_A + phi_B)) and returns
@@ -255,8 +245,7 @@ def fourier_component(
                      [level_pairs(dims.n).index((p, q))], phase),
         _weight_table(angles),
     )
-    mag = float(moduli[0, 0, 0 if branch == "+" else 1])
-    return FourierComponent(k=k, l=l, p=p, q=q, branch=branch, magnitude=mag)
+    return float(moduli[0, 0, 0 if branch == "+" else 1])
 
 
 def gamma_via_povm(

@@ -8,6 +8,8 @@ a state bit for bit.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -82,8 +84,8 @@ def state_to_dict(state: PureState | DensityOperator) -> dict:
 def state_from_dict(doc: dict, renormalize: bool = False) -> PureState | DensityOperator:
     """A state from a parsed state document.
 
-    Pure amplitudes must normalize within ``states.NORM_TOL`` unless
-    ``renormalize`` is set, which rescales them.
+    Pure amplitudes must be finite, and must normalize within
+    ``states.NORM_TOL`` unless ``renormalize`` is set, which rescales them.
     """
     if not isinstance(doc, dict):
         raise StateFileError(f"top level must be a JSON object, got {type(doc).__name__}")
@@ -103,16 +105,26 @@ def state_from_dict(doc: dict, renormalize: bool = False) -> PureState | Density
     kind = doc.get("kind")
     if kind == "pure":
         amp = _matrix_from_pairs(doc.get("data"), dims.m, dims.n, "pure data")
-        norm = float(np.linalg.norm(amp))
+        # Divided by their largest real or imaginary part, the amplitudes'
+        # squared norm can neither overflow nor underflow; the Python float
+        # product below goes to inf or 0 without a warning.  The parts are
+        # divided as floats: complex division by a subnormal scale overflows.
+        parts = amp.view(float)
+        scale = float(np.abs(parts).max())  # NaN if any part is NaN
+        if not math.isfinite(scale):
+            raise StateFileError("amplitudes must be finite")
+        unit = (parts / scale).view(complex) if scale > 0.0 else amp
+        unit_norm = float(np.linalg.norm(unit))
+        norm = scale * unit_norm
         if abs(norm * norm - 1.0) > NORM_TOL:
             if not renormalize:
                 raise StateFileError(
                     f"pure state not normalized: sum |amp|^2 = {norm * norm!r} "
                     f"(tolerance {NORM_TOL}); pass renormalize to rescale"
                 )
-            if norm == 0.0:
+            if scale == 0.0:
                 raise StateFileError("pure state has zero norm")
-            amp = amp / norm
+            amp = unit / unit_norm
         try:
             return PureState(dims, amp)
         except ValueError as exc:
@@ -139,6 +151,11 @@ def _read_json(path: Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer past Python's int-string digit limit
+        raise StateFileError(
+            f"{path}: not valid JSON (an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits)"
+        ) from exc
     except RecursionError as exc:  # json decodes arrays and objects recursively
         raise StateFileError(f"{path}: not valid JSON (nested too deeply)") from exc
 

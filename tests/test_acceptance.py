@@ -221,7 +221,7 @@ def test_criterion_7_bell_counting_and_reduced_plan():
     for m in (2, 3, 4):
         for n in (2, 3, 4):
             fam = bg.enumerate_bell(bg.BipartiteDims(m, n))
-            counts_ok = counts_ok and len(fam.states) == m * (m - 1) * n * (n - 1)
+            counts_ok = counts_ok and len(fam) == m * (m - 1) * n * (n - 1)
 
     plan23 = bg.plan_measurement(bg.BipartiteDims(2, 3))
     nb = bg.NAMED_BELL_2X3

@@ -26,18 +26,18 @@ from bellgamma.linalg import coeff_quadruples, pair_index
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_enumerate_bell_counts(m, n):
     fam = bg.enumerate_bell(bg.BipartiteDims(m, n))
-    assert len(fam.states) == m * (m - 1) * n * (n - 1)
-    assert len(set(fam.states)) == len(fam.states)
+    assert len(fam) == m * (m - 1) * n * (n - 1)
+    assert len(set(fam)) == len(fam)
 
 
 def test_enumerate_bell_2x2_is_the_named_basis():
     # M(M-1)N(N-1) = 4 for two qubits: the family is exactly psi+-, phi+-
-    fam = set(bg.enumerate_bell(bg.BipartiteDims(2, 2)).states)
+    fam = set(bg.enumerate_bell(bg.BipartiteDims(2, 2)))
     assert fam == set(NAMED_BELL_2X2.values())
 
 
 def test_enumerate_bell_2x3_matches_named_bases():
-    fam = set(bg.enumerate_bell(bg.BipartiteDims(2, 3)).states)
+    fam = set(bg.enumerate_bell(bg.BipartiteDims(2, 3)))
     assert len(fam) == 12
     assert fam == set(NAMED_BELL_2X3.values())
 
@@ -61,7 +61,7 @@ def test_project_examples(dims_2x3):
     assert bg.project(rho, b1) == pytest.approx(1.0, abs=1e-12)
     assert bg.project(rho, b2) == pytest.approx(0.0, abs=1e-12)
     mixed = bg.DensityOperator(dims_2x3, np.eye(6) / 6)
-    for b in bg.enumerate_bell(dims_2x3).states:
+    for b in bg.enumerate_bell(dims_2x3):
         assert bg.project(mixed, b) == pytest.approx(1 / 6, abs=1e-12)
 
 
@@ -218,6 +218,18 @@ def test_simulate_exact_matches_gamma(bell_2x3, three_term_2x3):
         assert est.shots is None
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_simulate_exact_terms_match_gamma_terms(dims):
+    # the Bell route and the direct route agree quadruple by quadruple, not
+    # only in their totals
+    m, n = dims
+    psi = bg.random_pure(bg.BipartiteDims(m, n), 17 * m + n)
+    got = bg.simulate_shots(psi, exact=True).terms
+    want = bg.gamma(bg.pure_to_density(psi)).terms
+    assert len(got) == len(want) == m * (m - 1) * n * (n - 1) // 4
+    assert np.abs(np.array(got) - np.array(want)).max() <= 1e-15
+
+
 def test_simulate_deterministic(bell_2x3):
     e1 = bg.simulate_shots(bell_2x3, shots=500, seed=7)
     e2 = bg.simulate_shots(bell_2x3, shots=500, seed=7)
@@ -319,11 +331,9 @@ def test_simulate_nonzero_coefficient_estimates_converge(dims_2x3):
     psi = bg.PureState(dims_2x3, amp)
     truth = 0.48  # |rho[1,5]| = 0.8 * 0.6
     for shots, tol in ((1000, 5e-3), (100000, 5e-4)):
+        first = coeff_quadruples(2, 3).index((1, 2, 1, 2))
         ests = [
-            {
-                (t.k, t.l, t.p, t.q): t.coeff_plus
-                for t in bg.simulate_shots(psi, shots=shots, seed=s).terms
-            }[(1, 2, 1, 2)]
+            bg.simulate_shots(psi, shots=shots, seed=s).terms[first][0]
             for s in range(30)
         ]
         assert abs(statistics.mean(ests) - truth) < tol
@@ -403,14 +413,15 @@ def _reference_estimate(plan, hats, shots, cfg=bg.PAPER_2X3):
         se = 0.5 * math.sqrt(sum(h * (1.0 - h) / shots for h in pair))
         estimates[(t.k, t.l, t.p, t.q)] = ((pair[0] - pair[1]) / 2.0, se)
     terms = []
+    ses = []
     acc = 0.0
     for k, l, p, q in coeff_quadruples(plan.dims.m, plan.dims.n):
         est_p, se_p = estimates[(k, l, p, q)]
         est_m, se_m = estimates[(k, l, q, p)]
-        term = bg.ShotTerm(k, l, p, q, abs(est_p), abs(est_m), se_p, se_m)
-        terms.append(term)
-        acc += term.contribution
-    return tuple(terms), math.sqrt(cfg.n2 * acc)
+        terms.append((abs(est_p), abs(est_m)))
+        ses.append((se_p, se_m))
+        acc += (abs(est_p) - abs(est_m)) ** 2
+    return (tuple(terms), tuple(ses)), math.sqrt(cfg.n2 * acc)
 
 
 def _reference_table(state, shots_list, reps, seed, phase_rotation=None):
@@ -447,8 +458,9 @@ def _assert_table_matches_reference(state, phase_rotation=None, seed=11):
     assert medians == ref_medians
     for shots in SHOTS_LIST:
         est = bg.simulate_shots(state, shots=shots, seed=shots, phase_rotation=phase_rotation)
-        terms, total = _reference_simulate(state, shots, shots, phase_rotation)
-        assert est.terms == terms  # coefficients and standard errors
+        (terms, se), total = _reference_simulate(state, shots, shots, phase_rotation)
+        assert est.terms == terms  # coefficients
+        assert est.se == se  # and standard errors
         assert est.total == total
 
 

@@ -6,6 +6,7 @@ import re
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,39 @@ def test_non_finite_density_file_exits_2(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+def _pure_file(path, entry):
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(
+        '{"dims": [2, 2], "kind": "pure", "data": '
+        f'[[[{entry}, 0], [0, 0]], [[0, 0], [0, 0]]]}}'
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("entry, renormalize", [
+    ("1e999", False), ("1e999", True), ("NaN", True), ("1e200", False), ("9" * 5001, True),
+])
+def test_unusable_pure_amplitudes_exit_2_with_one_error_line(capsys, tmp_path, entry, renormalize):
+    argv = ["measure", _pure_file(tmp_path / "bad.json", entry)] + ["--renormalize"] * renormalize
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_renormalize_loads_a_pure_state_whose_norm_overflows(capsys, tmp_path):
+    big = _pure_file(tmp_path / "big" / "s.json", "1e200")
+    unit = _pure_file(tmp_path / "unit" / "s.json", "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["measure", big, "--renormalize"])
+    assert (code, err) == (0, "")
+    _, want, _ = _run(capsys, ["measure", unit])
+    assert out.replace(big, "s.json") == want.replace(unit, "s.json")
 
 
 def test_pure_measure_decomposes_the_state_once(capsys, monkeypatch, product_file):

@@ -52,10 +52,12 @@ def test_gamma_bell_2x3(bell_2x3):
     rho = bg.pure_to_density(bell_2x3)
     breakdown = bg.gamma(rho, bg.PAPER_2X3)
     assert breakdown.total == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    by_quad = {(t.k, t.l, t.p, t.q): t for t in breakdown.terms}
-    assert by_quad[(1, 2, 1, 2)].coeff_plus == pytest.approx(0.5, abs=1e-12)
-    assert by_quad[(1, 2, 1, 2)].coeff_minus == pytest.approx(0.0, abs=1e-12)
-    assert by_quad[(1, 2, 1, 3)].contribution == pytest.approx(0.0, abs=1e-12)
+    by_quad = dict(zip(bg.coeff_quadruples(2, 3), breakdown.terms))
+    plus, minus = by_quad[(1, 2, 1, 2)]
+    assert plus == pytest.approx(0.5, abs=1e-12)
+    assert minus == pytest.approx(0.0, abs=1e-12)
+    plus, minus = by_quad[(1, 2, 1, 3)]
+    assert (plus - minus) ** 2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gamma_swap_bell_uses_minus_branch(dims_2x3):
@@ -64,9 +66,9 @@ def test_gamma_swap_bell_uses_minus_branch(dims_2x3):
     rho = bg.pure_to_density(bg.PureState(dims_2x3, amp))
     breakdown = bg.gamma(rho, bg.PAPER_2X3)
     assert breakdown.total == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    by_quad = {(t.k, t.l, t.p, t.q): t for t in breakdown.terms}
-    assert by_quad[(1, 2, 1, 2)].coeff_minus == pytest.approx(0.5, abs=1e-12)
-    assert by_quad[(1, 2, 1, 2)].coeff_plus == pytest.approx(0.0, abs=1e-12)
+    plus, minus = dict(zip(bg.coeff_quadruples(2, 3), breakdown.terms))[(1, 2, 1, 2)]
+    assert minus == pytest.approx(0.5, abs=1e-12)
+    assert plus == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])
@@ -76,9 +78,18 @@ def test_gamma_term_count(dims):
     breakdown = bg.gamma(rho)
     assert len(breakdown.terms) == m * (m - 1) * n * (n - 1) // 4
     assert breakdown.total == pytest.approx(
-        math.sqrt(breakdown.n2 * sum(t.contribution for t in breakdown.terms)),
+        math.sqrt(breakdown.n2 * sum((cp - cm) ** 2 for cp, cm in breakdown.terms)),
         abs=1e-12,
     )
+    # terms[i] is the modulus pair of the i-th quadruple, read off rho
+    index = np.array([
+        [bg.pair_index(k, p, rho.dims), bg.pair_index(l, q, rho.dims),
+         bg.pair_index(k, q, rho.dims), bg.pair_index(l, p, rho.dims)]
+        for k, l, p, q in bg.coeff_quadruples(m, n)
+    ]) - 1
+    plus = np.abs(rho.mat[index[:, 0], index[:, 1]])
+    minus = np.abs(rho.mat[index[:, 2], index[:, 3]])
+    assert breakdown.terms == tuple(zip(plus.tolist(), minus.tolist()))
 
 
 def test_gamma_pure_examples(bell_2x3, three_term_2x3):
@@ -248,10 +259,11 @@ def _random_frame(dims, seed):
 def test_each_quadruple_term_is_at_most_its_squared_minor(dims, seed):
     _, psi = _random_frame(dims, seed)
     amp = psi.amp
-    for term in bg.gamma_pure(psi, bg.UNNORMALIZED).terms:
-        k, l, p, q = term.k - 1, term.l - 1, term.p - 1, term.q - 1
+    terms = bg.gamma_pure(psi, bg.UNNORMALIZED).terms
+    for (k, l, p, q), (plus, minus) in zip(bg.coeff_quadruples(*dims), terms, strict=True):
+        k, l, p, q = k - 1, l - 1, p - 1, q - 1
         minor = amp[k, p] * amp[l, q] - amp[k, q] * amp[l, p]
-        assert term.contribution <= abs(minor) ** 2 + 1e-15
+        assert (plus - minus) ** 2 <= abs(minor) ** 2 + 1e-15
 
 
 @given(dims=THEOREM_DIMS, seed=st.integers(0, 2**32 - 1), cfg=THEOREM_CFGS)

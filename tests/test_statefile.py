@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +97,40 @@ def test_loader_rejects_non_finite_amplitudes(tmp_path):
         bg.load_state(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("entry", ["1e999", "-1e999", "NaN", "Infinity"])
+def test_loader_refuses_non_finite_amplitudes_before_any_norm(tmp_path, entry, renormalize):
+    # 1e999 parses as inf; nothing is divided by it, so no warning is raised
+    path = tmp_path / "state.qstate.json"
+    path.write_text(
+        '{"dims": [2, 2], "kind": "pure", "data": '
+        f'[[[{entry}, 0], [0, 0]], [[0, 0], [0, 0]]]}}'
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateFileError, match="^amplitudes must be finite$"):
+            bg.load_state(path, renormalize=renormalize)
+
+
+@pytest.mark.parametrize("size", [1e200, 1.7e308, 1e-200, 5e-324])
+def test_renormalize_loads_finite_amplitudes_of_any_size(tmp_path, size):
+    # the squared norm of these overflows or underflows; rescaled by the
+    # largest part first, each loads as the same state as at size 1
+    def doc(size):
+        return {"dims": [2, 2], "kind": "pure",
+                "data": [[[size, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-size, 0.0]]]}
+
+    path = _write(tmp_path, doc(size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateFileError, match="not normalized"):
+            bg.load_state(path)
+        psi = bg.load_state(path, renormalize=True)
+    want = bg.load_state(_write(tmp_path, doc(1.0)), renormalize=True)
+    assert np.array_equal(psi.amp, want.amp)
+    assert np.abs(psi.amp - np.diag([1.0, -1.0]) / np.sqrt(2.0)).max() <= 2e-16
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_loader_rejects_non_finite_density_entries(tmp_path, bad):
     doc = bg.state_to_dict(bg.random_density(bg.BipartiteDims(2, 2), 0))
@@ -169,6 +205,18 @@ def test_loaders_refuse_json_nested_too_deeply(tmp_path, load, text):
     with pytest.raises(StateFileError) as info:
         load(path)
     assert str(info.value) == f"{path}: not valid JSON (nested too deeply)"
+
+
+@pytest.mark.parametrize("load", [bg.load_state, bg.load_local_unitary])
+def test_loaders_name_the_file_of_an_integer_past_the_digit_limit(tmp_path, load):
+    # json.loads raises a plain ValueError whose advice (raise the limit)
+    # does not apply to a state file
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "long.json"
+    path.write_text('{"u_a": [[[' + "9" * (limit + 1) + ", 0]]]}")
+    with pytest.raises(StateFileError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: not valid JSON (an integer has more than {limit} digits)"
 
 
 def test_local_unitary_round_trip(tmp_path):

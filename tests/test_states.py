@@ -102,7 +102,7 @@ def test_bell_vector_named_states(dims_2x3):
 def test_bell_vector_unit_norm(data):
     m, n, pick, plus = data
     dims = bg.BipartiteDims(m, n)
-    fam = bg.enumerate_bell(dims).states
+    fam = bg.enumerate_bell(dims)
     b = fam[pick % len(fam)]
     v = bg.bell_vector(b, dims)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12

@@ -21,13 +21,12 @@ all repetitions are one batch.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import BipartiteDims, coeff_quadruples, pair_index
+from .linalg import BipartiteDims, coeff_quadruples
 from .local_unitary import LocalUnitary, apply_local_density
 from .measures import PAPER_2X3, MeasureConfig, gamma
 from .states import BellState, DensityOperator, PureState, bell_vector, pure_to_density
@@ -103,133 +102,78 @@ def recover_coefficient(rho: DensityOperator, k: int, l: int, p: int, q: int) ->
 
 
 @dataclass(frozen=True)
-class CoefficientTarget:
-    """One recoverable coefficient position and its projector pair."""
-
-    k: int
-    l: int
-    p: int
-    q: int
-    row: int  # 1-based joint indices: coefficient rho[row, col]
-    col: int
-    plus: BellState
-    minus: BellState
-
-
-@dataclass(frozen=True)
 class ReducedPlan:
     """Coefficient positions still needed after the canonical zeroing
     rotation, with the projector list used to measure them."""
 
     positions: tuple[tuple[int, int], ...]
     projectors: tuple[BellState, ...]
-    non_orthogonal_pairs: tuple[tuple[int, int], ...]
-    notes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class MeasurementPlan:
+    """The coefficient positions the Bell route measures, and the reduced plan.
+
+    ``targets`` are 1-based (row, col) positions of coefficients rho[row, col].
+    Position (row, col) is measured by the projector pair
+    ``BellState(k, l, p, q, +1)`` and ``BellState(k, l, p, q, -1)``, where
+    ``(k, p) = level_pair(row, dims)`` and ``(l, q) = level_pair(col, dims)``.
+    """
+
     dims: BipartiteDims
-    targets: tuple[CoefficientTarget, ...]
+    targets: tuple[tuple[int, int], ...]
     reduced: ReducedPlan
-    notes: tuple[str, ...] = ()
 
 
-def _target(dims: BipartiteDims, k: int, l: int, p: int, q: int) -> CoefficientTarget:
-    return CoefficientTarget(
-        k=k,
-        l=l,
-        p=p,
-        q=q,
-        row=pair_index(k, p, dims),
-        col=pair_index(l, q, dims),
-        plus=BellState(k, l, p, q, 1),
-        minus=BellState(k, l, p, q, -1),
-    )
-
-
-def _targets(dims: BipartiteDims) -> tuple[CoefficientTarget, ...]:
-    """Both coefficient positions, (kp, lq) then (kq, lp), of every k<l,
-    p<q quadruple."""
-    return tuple(
-        _target(dims, k, l, pp, qq)
-        for k, l, p, q in coeff_quadruples(dims.m, dims.n)
-        for pp, qq in ((p, q), (q, p))
-    )
-
-
-def _cross_pair_orthogonality(
-    projectors: tuple[BellState, ...], dims: BipartiteDims
-) -> tuple[tuple[int, int], ...]:
-    """Indices (i, j), i < j, of projector pairs that are not mutually
-    orthogonal, read off one Gram matrix of all the projector vectors."""
-    n_pairs = len(projectors) // 2
-    vecs = np.array([bell_vector(b, dims) for b in projectors[: 2 * n_pairs]])
-    overlap = np.abs(vecs.conj() @ vecs.T).reshape(n_pairs, 2, n_pairs, 2)
-    clash = np.triu(overlap.max(axis=(1, 3)) > 1e-12, k=1)
-    return tuple(zip(*(idx.tolist() for idx in np.nonzero(clash))))
+def _positions(dims: BipartiteDims) -> tuple[np.ndarray, np.ndarray]:
+    """0-based rows and columns of both coefficient positions, (kp, lq) then
+    (kq, lp), of every k<l, p<q quadruple, in ``coeff_quadruples`` order."""
+    k, l, p, q = (np.array(coeff_quadruples(dims.m, dims.n), dtype=np.intp) - 1).T
+    rows = np.stack([k * dims.n + p, k * dims.n + q], axis=1).ravel()
+    cols = np.stack([l * dims.n + q, l * dims.n + p], axis=1).ravel()
+    return rows, cols
 
 
 def plan_measurement(dims: BipartiteDims) -> MeasurementPlan:
-    """Projector pairs for every coefficient position, plus the reduced plan.
+    """Every coefficient position of the Bell route, plus the reduced plan.
 
-    The full target list covers, for every k<l, p<q quadruple, both the
-    (kp, lq) and the (kq, lp) coefficient positions; that uses the whole
+    The targets are, for every k<l, p<q quadruple, both the (kp, lq) and the
+    (kq, lp) coefficient positions; their projector pairs make up the whole
     Bell family.  The reduced plan keeps one position per quadruple (the
     mirrored orientation, which is the one surviving the qubit-qutrit
     zeroing rotation), so at most M(M-1)N(N-1)/2 projections are needed.
+    Reaching it presumes the local-unitary freedom that zeroes the partner
+    positions.
+
+    At 2x3 the reduced plan follows the named-basis convention: the
+    projector sextet (phi1, phi2), (phi5, phi6), (psi5, psi6).  The pair
+    (phi1, phi2) addresses coefficient (1, 6), which the zeroing rotation
+    drives to zero; (phi3, phi4) is the pair that measures position (2, 4)
+    directly.  The (psi5, psi6) pair is not orthogonal to (phi5, phi6).
+
+    When the joint dimension MN is odd, complete orthonormal Bell bases do
+    not exist, but the plan never relies on basis completeness.
     """
-    reduced_positions = []
-    reduced_projectors: list[BellState] = []
-    reduced_notes: list[str] = []
+    rows, cols = _positions(dims)
+    targets = tuple(zip((rows + 1).tolist(), (cols + 1).tolist()))
     if (dims.m, dims.n) == (2, 3):
-        # Named-basis convention for the qubit-qutrit reduced plan:
-        # (phi1, phi2), (phi5, phi6), (psi5, psi6).  Note the (phi1, phi2)
-        # pair addresses coefficient (1, 6), which the zeroing rotation
-        # drives to zero; (phi3, phi4) is the pair that measures position
-        # (2, 4) directly.
-        nb = NAMED_BELL_2X3
-        reduced_positions = [(2, 4), (3, 5), (3, 4)]
-        reduced_projectors = [
-            nb["phi1"], nb["phi2"], nb["phi5"], nb["phi6"], nb["psi5"], nb["psi6"]
-        ]
-        reduced_notes.append(
-            "2x3 reduced plan uses the named-basis projector sextet "
-            "(phi1, phi2, phi5, phi6, psi5, psi6); pair (phi1, phi2) "
-            "addresses coefficient (1,6), zero after the zeroing rotation, "
-            "while (phi3, phi4) is the pair matching position (2,4)."
+        reduced = ReducedPlan(
+            positions=((2, 4), (3, 5), (3, 4)),
+            projectors=tuple(
+                NAMED_BELL_2X3[name]
+                for name in ("phi1", "phi2", "phi5", "phi6", "psi5", "psi6")
+            ),
         )
     else:
-        for k, l, p, q in coeff_quadruples(dims.m, dims.n):
-            reduced_positions.append((pair_index(k, q, dims), pair_index(l, p, dims)))
-            reduced_projectors.append(BellState(k, l, q, p, 1))
-            reduced_projectors.append(BellState(k, l, q, p, -1))
-        reduced_notes.append(
-            "reduced plan keeps the mirrored coefficient position per "
-            "quadruple; reaching it presumes the local-unitary freedom that "
-            "zeroes the partner positions."
-        )
-
-    notes = []
-    if (dims.m * dims.n) % 2 == 1:
-        notes.append(
-            "joint dimension is odd: complete orthonormal Bell bases do not "
-            "exist, but the plan never relies on basis completeness."
-        )
-
-    return MeasurementPlan(
-        dims=dims,
-        targets=_targets(dims),
-        reduced=ReducedPlan(
-            positions=tuple(reduced_positions),
-            projectors=tuple(reduced_projectors),
-            non_orthogonal_pairs=_cross_pair_orthogonality(
-                tuple(reduced_projectors), dims
+        reduced = ReducedPlan(
+            positions=targets[1::2],
+            projectors=tuple(
+                BellState(k, l, q, p, sign)
+                for k, l, p, q in coeff_quadruples(dims.m, dims.n)
+                for sign in (1, -1)
             ),
-            notes=tuple(reduced_notes),
-        ),
-        notes=tuple(notes),
-    )
+        )
+    return MeasurementPlan(dims=dims, targets=targets, reduced=reduced)
 
 
 @dataclass(frozen=True)
@@ -327,16 +271,14 @@ def _plan_positions(
     and per quadruple the target indices of its (k, l, p, q) and (k, l, q, p)
     positions, shape (quadruples, 2).
 
-    The positions of the full target list, in ``_targets`` order, are
-    computed from the quadruples; a plan keeps those of its targets, in its
-    order, and no plan keeps all of them.  A position the plan does not
-    measure gets index -1, which ``_estimate`` points at a zero column:
-    absent positions count as zero coefficients.
+    A plan keeps the ``_positions`` it targets, in its order, and no plan
+    keeps all of them.  A position the plan does not measure gets index -1,
+    which ``_estimate`` points at a zero column: absent positions count as
+    zero coefficients.  A plan position outside 1..MN, off the quadruples'
+    positions or listed twice is refused.
     """
     dims = state.dims
-    k, l, p, q = (np.array(coeff_quadruples(dims.m, dims.n), dtype=np.intp) - 1).T
-    rows = np.stack([k * dims.n + p, k * dims.n + q], axis=1).ravel()
-    cols = np.stack([l * dims.n + q, l * dims.n + p], axis=1).ravel()
+    rows, cols = _positions(dims)
     if plan is None:
         measured = np.arange(len(rows))
     elif plan.dims != dims:
@@ -344,11 +286,16 @@ def _plan_positions(
             f"plan dims {plan.dims.label()} do not match state dims {dims.label()}"
         )
     else:
+        targets = np.array(plan.targets, dtype=np.intp).reshape(len(plan.targets), 2) - 1
+        if ((targets < 0) | (targets >= dims.size)).any():
+            raise ValueError(f"plan targets a position outside 1..{dims.size}")
         slot = np.full((dims.size, dims.size), -1, dtype=np.intp)
         slot[rows, cols] = np.arange(len(rows))
-        measured = slot[[t.row - 1 for t in plan.targets], [t.col - 1 for t in plan.targets]]
+        measured = slot[targets[:, 0], targets[:, 1]]
         if (measured < 0).any():
             raise ValueError("plan targets a position outside its quadruples' pairs")
+        if len(np.unique(measured)) < len(measured):
+            raise ValueError("plan targets a position twice")
     pair_cols = np.full(len(rows), -1, dtype=np.intp)
     pair_cols[measured] = np.arange(len(measured))
     return rows[measured], cols[measured], pair_cols.reshape(-1, 2)
@@ -470,10 +417,9 @@ def shot_error_table(
         draw = np.random.default_rng(np.random.SeedSequence((seed, shots))).binomial
         np.divide(draw(shots, probs, size=freqs.shape), shots, out=freqs)
     _, totals = _estimate(hats.reshape(len(shots_list) * reps, -1, 2), pair_cols, cfg.n2)
+    gammas = totals.reshape(len(shots_list), reps)
+    errs = np.abs(gammas - truth)
     rows = []
-    medians: dict[int, float] = {}
-    for shots, gammas in zip(shots_list, totals.reshape(len(shots_list), reps).tolist()):
-        errs = [abs(total - truth) for total in gammas]
-        rows.extend(map(ShotErrorRow, [shots] * reps, range(reps), gammas, errs))
-        medians[shots] = statistics.median(errs)
-    return tuple(rows), medians
+    for shots, count_gammas, count_errs in zip(shots_list, gammas.tolist(), errs.tolist()):
+        rows.extend(map(ShotErrorRow, [shots] * reps, range(reps), count_gammas, count_errs))
+    return tuple(rows), dict(zip(shots_list, np.median(errs, axis=1).tolist()))

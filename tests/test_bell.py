@@ -12,14 +12,24 @@ from bellgamma.bell import (
     NAMED_BELL_2X2,
     NAMED_BELL_2X3,
     ShotErrorRow,
-    _cross_pair_orthogonality,
     _estimate,
     _measured_density,
     _plan_positions,
     _project_mat,
     _target_probabilities,
 )
-from bellgamma.linalg import coeff_quadruples, pair_index
+from bellgamma.linalg import coeff_quadruples, level_pair, pair_index
+
+
+def _levels(position, dims):
+    """(k, l, p, q) of the 1-based coefficient position (row, col)."""
+    (k, p), (l, q) = (level_pair(i, dims) for i in position)
+    return k, l, p, q
+
+
+def _projector_pair(position, dims):
+    """The plus and minus projectors measuring a plan position."""
+    return tuple(bg.BellState(*_levels(position, dims), sign) for sign in (1, -1))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -95,15 +105,16 @@ def test_recover_coefficient_misses_imaginary_part(dims_2x3):
 def test_plan_2x2_full_targets():
     plan = bg.plan_measurement(bg.BipartiteDims(2, 2))
     assert len(plan.targets) == 2
-    positions = {(t.row, t.col) for t in plan.targets}
-    assert positions == {(1, 4), (2, 3)}
-    projectors = {b for t in plan.targets for b in (t.plus, t.minus)}
-    assert len(projectors) == 4
+    assert set(plan.targets) == {(1, 4), (2, 3)}
+    projectors = {b for t in plan.targets for b in _projector_pair(t, plan.dims)}
+    assert projectors == set(bg.enumerate_bell(plan.dims))
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in (2, 3, 4) for n in (2, 3, 4)] + [(6, 6), (10, 10)]
+)
 def test_plan_counts_and_orthogonal_pairs(m, n):
+    # 6x6 and 10x10 lie beyond the CLI's dims cap; library calls take them.
     dims = bg.BipartiteDims(m, n)
     plan = bg.plan_measurement(dims)
     n_quads = m * (m - 1) * n * (n - 1) // 4
@@ -111,9 +122,13 @@ def test_plan_counts_and_orthogonal_pairs(m, n):
     assert len(plan.reduced.projectors) <= m * (m - 1) * n * (n - 1) // 2
     assert len(plan.reduced.positions) <= n_quads
     for t in plan.targets:
-        vp = bg.bell_vector(t.plus, dims)
-        vm = bg.bell_vector(t.minus, dims)
+        vp, vm = (bg.bell_vector(b, dims) for b in _projector_pair(t, dims))
         assert abs(np.vdot(vp, vm)) < 1e-12
+    if (m, n) != (2, 3):
+        # the reduced projectors are the pairs of the reduced positions
+        assert plan.reduced.projectors == tuple(
+            b for t in plan.reduced.positions for b in _projector_pair(t, dims)
+        )
 
 
 def test_plan_full_targets_recover_all_quadruple_positions():
@@ -123,7 +138,7 @@ def test_plan_full_targets_recover_all_quadruple_positions():
     for k, l, p, q in bg.coeff_quadruples(2, 3):
         want.add((bg.pair_index(k, p, dims), bg.pair_index(l, q, dims)))
         want.add((bg.pair_index(k, q, dims), bg.pair_index(l, p, dims)))
-    assert {(t.row, t.col) for t in plan.targets} == want
+    assert set(plan.targets) == want
 
 
 def test_reduced_plan_2x3_named_projectors():
@@ -145,13 +160,13 @@ def test_reduced_plan_2x3_named_projectors():
     phi56_idx = next(
         i for i, pair in enumerate(pairs) if pair == (nb["phi5"], nb["phi6"])
     )
-    assert tuple(sorted((psi_idx, phi56_idx))) in plan.reduced.non_orthogonal_pairs
-    assert plan.reduced.notes
+    clashes = _reference_cross_pair_orthogonality(plan.reduced.projectors, plan.dims)
+    assert clashes == (tuple(sorted((psi_idx, phi56_idx))),)
 
 
 def _plan_restricted_to(plan, positions):
     """``plan`` measuring only the targets at the given (row, col) positions."""
-    targets = tuple(t for t in plan.targets if (t.row, t.col) in positions)
+    targets = tuple(t for t in plan.targets if t in positions)
     assert len(targets) == len(positions)
     return dataclasses.replace(plan, targets=targets)
 
@@ -202,12 +217,6 @@ def test_schmidt_frame_positions_suffice_within_the_papers_projection_bound(dims
     projectors = 2 * len(plan.targets)
     assert projectors == size * (size - 1)
     assert projectors <= d.m * (d.m - 1) * d.n * (d.n - 1) // 2
-
-
-def test_plan_notes_odd_joint_dimension():
-    plan = bg.plan_measurement(bg.BipartiteDims(3, 3))
-    assert any("odd" in note for note in plan.notes)
-    assert bg.plan_measurement(bg.BipartiteDims(2, 3)).notes == ()
 
 
 def test_simulate_exact_matches_gamma(bell_2x3, three_term_2x3):
@@ -348,6 +357,18 @@ def test_shot_error_table_medians(bell_2x3):
     assert rows == rows2 and medians == medians2
 
 
+@pytest.mark.parametrize("reps", [1, 2, 7, 20])
+def test_shot_error_table_medians_equal_statistics_median(reps):
+    # odd and even rep counts: the middle error, or the mean of the two
+    psi = bg.random_pure(bg.BipartiteDims(3, 3), 4)
+    rows, medians = bg.shot_error_table(psi, [10, 1000], reps=reps, seed=6)
+    for shots in (10, 1000):
+        errs = [r.abs_error for r in rows if r.shots == shots]
+        assert len(errs) == reps
+        assert type(medians[shots]) is float
+        assert medians[shots] == statistics.median(errs)
+
+
 def test_shot_error_table_rejects_non_positive_counts(bell_2x3):
     with pytest.raises(ValueError, match="reps"):
         bg.shot_error_table(bell_2x3, [100], reps=0, seed=0)
@@ -384,13 +405,17 @@ def _reference_probabilities(state, plan, phase_rotation=None):
         w = phase_rotation.joint()
         base = w @ base @ w.conj().T
     probs = []
-    for t in plan.targets:
+    for row, col in plan.targets:
         mat = base
         if align:
-            w = _reference_aligning_rotation(base, t.row - 1, t.col - 1, dims, t.k)
+            k = level_pair(row, dims)[0]
+            w = _reference_aligning_rotation(base, row - 1, col - 1, dims, k)
             mat = w @ base @ w.conj().T
         probs.append(
-            [min(max(_project_mat(mat, b, dims), 0.0), 1.0) for b in (t.plus, t.minus)]
+            [
+                min(max(_project_mat(mat, b, dims), 0.0), 1.0)
+                for b in _projector_pair((row, col), dims)
+            ]
         )
     return probs
 
@@ -411,7 +436,7 @@ def _reference_estimate(plan, hats, shots, cfg=bg.PAPER_2X3):
     estimates = {}
     for t, pair in zip(plan.targets, hats):
         se = 0.5 * math.sqrt(sum(h * (1.0 - h) / shots for h in pair))
-        estimates[(t.k, t.l, t.p, t.q)] = ((pair[0] - pair[1]) / 2.0, se)
+        estimates[_levels(t, plan.dims)] = ((pair[0] - pair[1]) / 2.0, se)
     terms = []
     ses = []
     acc = 0.0
@@ -622,9 +647,9 @@ def test_restricted_plan_positions_follow_the_target_order(dims):
                  for k in range(1, size + 1) for l in range(k + 1, size + 1)}
     plan = _plan_restricted_to(bg.plan_measurement(d), positions)
     rows, cols, pair_cols = _plan_positions(bg.random_pure(d, 0), plan)
-    assert rows.tolist() == [t.row - 1 for t in plan.targets]
-    assert cols.tolist() == [t.col - 1 for t in plan.targets]
-    index = {(t.k, t.l, t.p, t.q): i for i, t in enumerate(plan.targets)}
+    assert rows.tolist() == [row - 1 for row, _ in plan.targets]
+    assert cols.tolist() == [col - 1 for _, col in plan.targets]
+    index = {_levels(t, d): i for i, t in enumerate(plan.targets)}
     want = [[index.get((k, l, p, q), -1), index.get((k, l, q, p), -1)]
             for k, l, p, q in coeff_quadruples(d.m, d.n)]
     assert pair_cols.tolist() == want
@@ -633,11 +658,22 @@ def test_restricted_plan_positions_follow_the_target_order(dims):
 def test_a_plan_target_off_the_quadruple_positions_is_refused():
     d = bg.BipartiteDims(2, 3)
     plan = bg.plan_measurement(d)
-    first = plan.targets[0]
-    flipped = dataclasses.replace(first, row=first.col, col=first.row)
-    bad = dataclasses.replace(plan, targets=(flipped,) + plan.targets[1:])
-    with pytest.raises(ValueError, match="outside"):
-        bg.simulate_shots(bg.random_pure(d, 0), bad, exact=True)
+    psi = bg.random_pure(d, 0)
+    (row, col), rest = plan.targets[0], plan.targets[1:]
+    cases = (
+        (((col, row),) + rest, "outside its quadruples' pairs"),
+        # unchecked, column 0 would wrap round to column 6, a real target
+        (((1, 0),) + rest, r"outside 1\.\.6"),
+        (((1, 7),) + rest, r"outside 1\.\.6"),
+        # unchecked, one of the two draws would be dropped
+        (plan.targets + ((row, col),), "twice"),
+    )
+    for targets, message in cases:
+        bad = dataclasses.replace(plan, targets=targets)
+        with pytest.raises(ValueError, match=message):
+            bg.simulate_shots(psi, bad, exact=True)
+        with pytest.raises(ValueError, match=message):
+            bg.shot_error_table(psi, [100], reps=2, seed=0, plan=bad)
 
 
 def test_vector_binomial_draws_equal_scalar_draws():
@@ -655,7 +691,8 @@ def test_vector_binomial_draws_equal_scalar_draws():
 
 
 def _reference_cross_pair_orthogonality(projectors, dims):
-    # The pairwise np.vdot loop the Gram matrix replaced.
+    # Indices (i, j), i < j, of projector pairs that are not mutually
+    # orthogonal, from every pairwise overlap.
     vecs = [bg.bell_vector(b, dims) for b in projectors]
     n_pairs = len(projectors) // 2
     clashes = []
@@ -671,14 +708,27 @@ def _reference_cross_pair_orthogonality(projectors, dims):
     return tuple(clashes)
 
 
+def _shared_vector_clashes(projectors, dims):
+    # Two pairs (|a> +- |b>)/sqrt(2) and (|c> +- |d>)/sqrt(2) of joint basis
+    # vectors overlap exactly when {a, b} and {c, d} meet.
+    support = [
+        {pair_index(b.k, b.p, dims), pair_index(b.l, b.q, dims)} for b in projectors[::2]
+    ]
+    return tuple(
+        (i, j)
+        for i in range(len(support))
+        for j in range(i + 1, len(support))
+        if support[i] & support[j]
+    )
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 5)])
 def test_cross_pair_orthogonality_matches_pairwise_loop(dims):
+    # The clash sets of the reduced and the full projector lists, from the
+    # pairwise overlaps and from the shared basis vectors.
     d = bg.BipartiteDims(*dims)
     plan = bg.plan_measurement(d)
-    reduced = plan.reduced.projectors
-    assert plan.reduced.non_orthogonal_pairs == _reference_cross_pair_orthogonality(
-        reduced, d
-    )
-    full = tuple(b for t in plan.targets for b in (t.plus, t.minus))
-    want = _reference_cross_pair_orthogonality(full, d)
-    assert _cross_pair_orthogonality(full, d) == want
+    full = tuple(b for t in plan.targets for b in _projector_pair(t, d))
+    for projectors in (plan.reduced.projectors, full):
+        want = _shared_vector_clashes(projectors, d)
+        assert _reference_cross_pair_orthogonality(projectors, d) == want

@@ -150,10 +150,19 @@ def gamma_pure(psi: PureState, cfg: MeasureConfig = PAPER_2X3) -> GammaBreakdown
 
 
 def i_concurrence(psi: PureState) -> float:
-    """I-concurrence sqrt(2 * (1 - tr(rho_A^2))) of a pure state."""
+    """I-concurrence sqrt(2 * (tr(rho_A)^2 - tr(rho_A^2))) of a pure state.
+
+    For a normalized state tr(rho_A) = 1, and this is the textbook
+    sqrt(2 * (1 - tr(rho_A^2))).  Taking the trace from the amplitudes
+    keeps the value free of the norm, so a product state whose norm is an
+    ulp short still reads 0 when rho_A's entries are exact (the 1 - purity
+    form read about 3e-8 there).  Rounding inside tr(rho_A^2) remains:
+    generic products can read up to about 3e-8.
+    """
     red = psi.amp @ psi.amp.conj().T
+    trace = float(np.trace(red).real)
     purity = float(np.trace(red @ red).real)
-    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
+    return math.sqrt(max(0.0, 2.0 * (trace * trace - purity)))
 
 
 def concurrence_general(psi: PureState, prefactor: float = 4.0) -> float:

@@ -857,10 +857,10 @@ def test_example_script_writes_five_states_to_the_given_dir(capsys, tmp_path, mo
 #: povm-check Fourier values; any change to the output of its corpus changes
 #: one of them.
 PINNED_DIGESTS = (
-    "measure calls=18 sha256=03c7b9f3cf039fb34b460279be3712122cb159f7ebe615ca9d8d5305a4364739\n"
+    "measure calls=18 sha256=1cc941a2e18af300152fbbcc00c7071ccd9b850e36adbeaf4e7b35b04cc3cfef\n"
     "povm-check calls=18 sha256=c7e33e1bd29178fe04fa3287cdbe86a45b79aa35d637aa25f81efd323ccc8bdb\n"
     "simulate calls=14 sha256=36c84475f8c4efa4100a83c4d9d192fb64ee6a23e3b7ac453ed84c19ec40bc7c\n"
-    "conjecture calls=3 sha256=4eeff223e2c91acdea3cca157d4ebf8207b9566942d1bd5627ca055f6bf34124\n"
+    "conjecture calls=3 sha256=d99ea0e84bda9986ee8e47e843767581c0e5be56bbec17411f5a29b69e05fcc9\n"
 )
 
 

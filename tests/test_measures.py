@@ -155,6 +155,23 @@ def test_i_concurrence_examples(bell_2x3, three_term_2x3):
         )
 
 
+def test_i_concurrence_keeps_a_products_zero_off_unit_norm(tmp_path, bell_2x3):
+    # The norm of each product is an ulp short of one; 1 - tr(rho_A^2)
+    # read 2.98e-8 on both, and 1.0000000000000002 on the Bell state.
+    amp = np.array([[(1 + 1j) / math.sqrt(2), 0], [0, 0]])
+    psi = bg.PureState(bg.BipartiteDims(2, 2), amp)
+    path = tmp_path / "big.qstate.json"
+    path.write_text(
+        '{"dims": [2, 2], "kind": "pure", "data": '
+        "[[[1.7e308, 1.7e308], [0, 0]], [[0, 0], [0, 0]]]}"
+    )
+    for product in (psi, bg.load_state(path, renormalize=True)):
+        assert np.linalg.norm(product.amp) < 1.0
+        assert bg.i_concurrence(product) == 0.0
+    assert bg.i_concurrence(bell_2x3) == 0.9999999999999998
+    assert bg.i_concurrence(bell_2x3) == bg.concurrence_general(bell_2x3, 4)
+
+
 def test_i_concurrence_from_schmidt_coefficients(three_term_2x3):
     lam = np.array(bg.schmidt(three_term_2x3).coefficients)
     via_schmidt = math.sqrt(2 * (1 - float(np.sum(lam**2))))

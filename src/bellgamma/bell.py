@@ -274,8 +274,8 @@ def _plan_positions(
     A plan keeps the ``_positions`` it targets, in its order, and no plan
     keeps all of them.  A position the plan does not measure gets index -1,
     which ``_estimate`` points at a zero column: absent positions count as
-    zero coefficients.  A plan position outside 1..MN, off the quadruples'
-    positions or listed twice is refused.
+    zero coefficients.  A plan position that is not a pair of integers in
+    1..MN, lies off the quadruples' positions or is listed twice is refused.
     """
     dims = state.dims
     rows, cols = _positions(dims)
@@ -286,7 +286,10 @@ def _plan_positions(
             f"plan dims {plan.dims.label()} do not match state dims {dims.label()}"
         )
     else:
-        targets = np.array(plan.targets, dtype=np.intp).reshape(len(plan.targets), 2) - 1
+        targets = np.array(plan.targets).reshape(len(plan.targets), 2)
+        if len(targets) and targets.dtype.kind not in "iu":
+            raise ValueError(f"plan positions must be integers, got {targets.dtype}")
+        targets = targets.astype(np.intp) - 1
         if ((targets < 0) | (targets >= dims.size)).any():
             raise ValueError(f"plan targets a position outside 1..{dims.size}")
         slot = np.full((dims.size, dims.size), -1, dtype=np.intp)

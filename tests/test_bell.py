@@ -665,6 +665,8 @@ def test_a_plan_target_off_the_quadruple_positions_is_refused():
         # unchecked, column 0 would wrap round to column 6, a real target
         (((1, 0),) + rest, r"outside 1\.\.6"),
         (((1, 7),) + rest, r"outside 1\.\.6"),
+        # unchecked, row 1.5 would be truncated to row 1
+        (((1.5, 5),) + rest, "integers"),
         # unchecked, one of the two draws would be dropped
         (plan.targets + ((row, col),), "twice"),
     )

@@ -247,7 +247,6 @@ class OptimizerOptions:
 class SupremumReport:
     best_gamma: float
     best_unitary: LocalUnitary
-    schmidt_gamma: float | None
     iterations: int
     restarts: int
     converged: bool
@@ -608,16 +607,12 @@ def maximize_gamma(
     """
     opts = opts or OptimizerOptions()
     bases = _restart_batch(state, opts)
-    if isinstance(state, PureState):
-        schmidt_val, source = gamma_schmidt(state, cfg), pure_to_density(state).mat
-    else:
-        schmidt_val, source = None, state.mat
+    source = pure_to_density(state).mat if isinstance(state, PureState) else state.mat
     f, ua, ub, sweeps, converged = _lockstep_ascent(source, bases, cfg.n2, opts)
     best = int(np.argmax(f))
     return SupremumReport(
         best_gamma=float(f[best]),
         best_unitary=LocalUnitary(ua[best], ub[best]),
-        schmidt_gamma=schmidt_val,
         iterations=int(sweeps.sum()),
         restarts=len(f),
         converged=bool(converged.all()),
@@ -630,12 +625,12 @@ def maximize_gamma(
 
 class ConjectureRow(NamedTuple):
     """One trial of the sweep; the fields are the ``conjecture`` columns, in
-    order (``schmidt_gamma`` is printed as ``gamma_schmidt``)."""
+    order."""
 
     dims: str
     trial: int
     i_concurrence: float
-    schmidt_gamma: float
+    gamma_schmidt: float
     best_gamma: float
     deviation: float
     overshoot: bool
@@ -656,41 +651,34 @@ class ConjectureReport:
     summaries: tuple[ConjectureSummary, ...]
 
 
-#: Defaults for sweep trials: lighter than the standalone maximizer budget
+#: The budget of each sweep trial: lighter than the standalone maximizer's
 #: because the Schmidt restart already sits at the conjectured optimum.
 SWEEP_OPTS = OptimizerOptions(restarts=4, max_sweeps=25)
 
 
-def _conjecture_trial(dims: BipartiteDims, di: int, trial: int, seed: int,
-                      cfg: MeasureConfig, opts: OptimizerOptions) -> ConjectureRow:
+def _conjecture_trial(dims: BipartiteDims, di: int, trial: int, seed: int) -> ConjectureRow:
     ss = np.random.SeedSequence((seed, di, trial))
     psi = random_pure(dims, ss)
     trial_seed = int(ss.generate_state(1)[0])
-    report = maximize_gamma(psi, cfg, replace(opts, seed=trial_seed))
+    report = maximize_gamma(psi, CONCURRENCE_MATCHED, replace(SWEEP_OPTS, seed=trial_seed))
     ic = i_concurrence(psi)
-    assert report.schmidt_gamma is not None
+    schmidt_val = gamma_schmidt(psi, CONCURRENCE_MATCHED)
     return ConjectureRow(
         dims=dims.label(),
         trial=trial,
         i_concurrence=ic,
-        schmidt_gamma=report.schmidt_gamma,
+        gamma_schmidt=schmidt_val,
         best_gamma=report.best_gamma,
         deviation=abs(report.best_gamma - ic),
-        overshoot=report.best_gamma > report.schmidt_gamma + OVERSHOOT_MARGIN,
+        overshoot=report.best_gamma > schmidt_val + OVERSHOOT_MARGIN,
         converged=report.converged,
     )
 
 
-def conjecture_sweep(
-    dims_list,
-    trials: int,
-    seed: int,
-    cfg: MeasureConfig = CONCURRENCE_MATCHED,
-    opts: OptimizerOptions | None = None,
-    threads: int = 1,
-) -> ConjectureReport:
+def conjecture_sweep(dims_list, trials: int, seed: int, threads: int = 1) -> ConjectureReport:
     """For random pure states, compare the maximized gamma against
-    I-concurrence and against the Schmidt-basis benchmark.
+    I-concurrence and against the Schmidt-basis benchmark, at the matched
+    normalization n2 = 4 where the two are equal.
 
     Per-trial seeds are fixed up front, so results are deterministic for any
     thread count.  There is one summary per entry of ``dims_list``, labelled
@@ -698,7 +686,6 @@ def conjecture_sweep(
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    opts = opts or SWEEP_OPTS
     parsed = [BipartiteDims.parse(d) if isinstance(d, str) else d for d in dims_list]
     tasks = [(d, di, t) for di, d in enumerate(parsed) for t in range(trials)]
     if threads > 1 and tasks:
@@ -707,14 +694,9 @@ def conjecture_sweep(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(
-                    lambda a: _conjecture_trial(a[0], a[1], a[2], seed, cfg, opts),
-                    tasks,
-                )
-            )
+            rows = list(pool.map(lambda task: _conjecture_trial(*task, seed), tasks))
     else:
-        rows = [_conjecture_trial(d, di, t, seed, cfg, opts) for d, di, t in tasks]
+        rows = [_conjecture_trial(*task, seed) for task in tasks]
 
     # Rows come in task order, ``trials`` of them per entry of
     # ``dims_list``, so a repeated entry keeps a group of its own.

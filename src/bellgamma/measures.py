@@ -46,10 +46,15 @@ PRESET_N2 = {
 }
 
 
+#: Largest accepted n2.  The Fourier route scales by n2 * (2pi)^4, which
+#: overflows to inf near 1.15e305.
+MAX_N2 = 1e300
+
+
 @dataclass(frozen=True)
 class MeasureConfig:
-    """Normalization constant n2 (finite and positive) plus the preset name
-    it came from."""
+    """Normalization constant n2 (positive, at most ``MAX_N2``) plus the
+    preset name it came from."""
 
     n2: float
     preset: str = "custom"
@@ -59,6 +64,8 @@ class MeasureConfig:
             raise ValueError(f"n2 must be positive, got {self.n2}")
         if not math.isfinite(self.n2):
             raise ValueError(f"n2 must be finite, got {self.n2}")
+        if self.n2 > MAX_N2:
+            raise ValueError(f"n2 must be at most {MAX_N2:g}, got {self.n2:g}")
         if self.preset != "custom" and self.preset not in PRESET_N2:
             raise ValueError(f"unknown preset {self.preset!r}")
 

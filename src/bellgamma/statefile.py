@@ -19,8 +19,6 @@ from .linalg import BipartiteDims, check_input_dims
 from .local_unitary import LocalUnitary
 from .states import NORM_TOL, DensityOperator, PureState
 
-QSTATE_EXT = ".qstate.json"
-
 
 class StateFileError(ValueError):
     """Raised when a state file fails parsing or validation."""

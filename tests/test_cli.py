@@ -308,6 +308,26 @@ def test_grid_is_capped_at_64(capsys, product_file, command, grid):
                        "every grid of 3 or more points is already exact\n")
 
 
+def test_povm_check_tolerance_is_relative_past_gamma_one(capsys, tmp_path):
+    # Both routes scale as sqrt(n2): at n2 = 1e16 they differ by about
+    # 2e-9 out of 6e6, a relative 3e-16, which an absolute 1e-9 refused.
+    path = tmp_path / "rho.qstate.json"
+    bg.save_state(path, bg.random_density(bg.BipartiteDims(3, 3), 0))
+    code, out, _ = _run(capsys, ["povm-check", str(path), "--n2", "1e16"])
+    lines = dict(line.split("=") for line in out.strip().splitlines())
+    assert float(lines["difference"]) > 1e-9
+    assert code == 0
+
+
+def test_povm_check_exits_1_when_the_routes_disagree(capsys, monkeypatch, bell_file):
+    monkeypatch.setattr(bellgamma.cli, "gamma_via_povm",
+                        lambda rho, cfg, grid: bg.gamma(rho, cfg).total + 1e-6)
+    code, out, err = _run(capsys, ["povm-check", bell_file])
+    lines = dict(line.split("=") for line in out.strip().splitlines())
+    assert float(lines["difference"]) == pytest.approx(1e-6)
+    assert (code, err) == (1, "")
+
+
 def test_povm_check_maximally_mixed(capsys, tmp_path):
     path = tmp_path / "mixed.qstate.json"
     bg.save_state(path, bg.DensityOperator(bg.BipartiteDims(2, 3), np.eye(6) / 6))
@@ -332,11 +352,16 @@ def test_conjecture_small_run(capsys):
     _csv_and_json_tables(capsys, argv)
 
 
-def test_conjecture_columns_are_the_row_fields_with_one_rename():
-    fields = bg.ConjectureRow._fields
-    columns = bellgamma.cli.CONJECTURE_COLUMNS
-    renamed = [(f, c) for f, c in zip(fields, columns, strict=True) if f != c]
-    assert renamed == [("schmidt_gamma", "gamma_schmidt")]
+def test_conjecture_columns_are_the_row_fields():
+    assert bellgamma.cli.CONJECTURE_COLUMNS == list(bg.ConjectureRow._fields)
+
+
+def test_conjecture_runs_one_thread_by_default_and_prints_what_two_threads_print(capsys):
+    assert bellgamma.cli.build_parser().parse_args(["conjecture"]).threads == 1
+    argv = ["conjecture", "--dims", "2x2", "--dims", "3x2", "--trials", "3", "--seed", "5"]
+    default = _run(capsys, argv)
+    assert default[0] == 0
+    assert _run(capsys, [*argv, "--threads", "2"]) == default
 
 
 def test_conjecture_reports_whether_each_search_converged(capsys, monkeypatch):
@@ -366,7 +391,7 @@ def test_conjecture_exits_1_when_the_search_beats_the_proven_bound(capsys, monke
         report = search(psi, cfg, opts)
         calls.append(psi)
         if len(calls) == 2:
-            report = dataclasses.replace(report, best_gamma=report.schmidt_gamma + 1e-6)
+            report = dataclasses.replace(report, best_gamma=bg.gamma_schmidt(psi, cfg) + 1e-6)
         return report
 
     monkeypatch.setattr(bg.local_unitary, "maximize_gamma", overshoot_second)
@@ -662,8 +687,7 @@ def test_entries_that_are_not_two_numbers_exit_2(capsys, tmp_path, bell_file, ba
 CLI_SURFACE = {
     "measure": {"state", "--renormalize", "--grid", "--n2-preset", "--n2", "--seed",
                 "--output"},
-    "conjecture": {"--dims", "--trials", "--threshold", "--n2-preset", "--n2", "--seed",
-                   "--threads", "--output"},
+    "conjecture": {"--dims", "--trials", "--threshold", "--seed", "--threads", "--output"},
     "povm-check": {"state", "--renormalize", "--grid", "--n2-preset", "--n2"},
     "simulate": {"state", "--renormalize", "--shots", "--reps", "--phase-rotation",
                  "--n2-preset", "--n2", "--seed", "--output"},
@@ -681,7 +705,7 @@ def test_each_subcommand_declares_exactly_the_options_it_reads():
         for name, p in sub.choices.items()
     }
     assert surface == CLI_SURFACE
-    assert sum(map(len, surface.values())) == 29
+    assert sum(map(len, surface.values())) == 27
 
 
 @pytest.mark.parametrize("argv", [
@@ -690,6 +714,9 @@ def test_each_subcommand_declares_exactly_the_options_it_reads():
     ["povm-check", "STATE", "--threads", "2"],
     ["measure", "STATE", "--threads", "2"],
     ["simulate", "STATE", "--shots", "10", "--threads", "2"],
+    # conjecture compares against I-concurrence, which gamma_sup equals at n2 = 4 only
+    ["conjecture", "--n2", "4"],
+    ["conjecture", "--n2-preset", "concurrence-matched"],
 ])
 def test_options_a_command_does_not_read_exit_2(capsys, bell_file, argv):
     argv = [bell_file if a == "STATE" else a for a in argv]
@@ -784,12 +811,24 @@ def test_conjecture_accepts_a_zero_threshold_and_then_fails(capsys):
     ["measure", "STATE"],
     ["povm-check", "STATE"],
     ["simulate", "STATE", "--shots", "10"],
-    ["conjecture", "--dims", "2x2", "--trials", "1"],
 ])
 def test_infinite_n2_exits_2(capsys, bell_file, command):
     argv = [bell_file if a == "STATE" else a for a in command] + ["--n2", "inf"]
     code, out, err = _run(capsys, argv)
     assert (code, out, err) == (2, "", "error: n2 must be finite, got inf\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["measure", "STATE", "--output", "json"],
+    ["povm-check", "STATE"],
+    ["simulate", "STATE", "--shots", "10"],
+])
+def test_n2_whose_fourier_scale_overflows_exits_2(capsys, bell_file, command):
+    # n2 * (2pi)^4 overflows near 1.15e305: povm-check printed
+    # gamma_via_povm=inf and measure's JSON an invalid NaN
+    argv = [bell_file if a == "STATE" else a for a in command] + ["--n2", "1e308"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (2, "", "error: n2 must be at most 1e+300, got 1e+308\n")
 
 
 def test_conjecture_summary_is_labelled_with_the_parsed_dims(capsys):

@@ -12,7 +12,6 @@ from bellgamma.local_unitary import (
     _GRID_POINTS,
     _PARABOLIC_STEPS,
     _SWEEP_TOL,
-    SWEEP_OPTS,
     _coordinate_line,
     _dense_form,
     _dense_rotate,
@@ -200,7 +199,6 @@ def test_maximize_gamma_product_state_stays_zero():
 def test_maximize_gamma_bell_reaches_i_concurrence(bell_2x3):
     report = bg.maximize_gamma(bell_2x3, bg.CONCURRENCE_MATCHED, QUICK_OPTS)
     assert report.best_gamma == pytest.approx(1.0, abs=1e-6)
-    assert report.schmidt_gamma == pytest.approx(1.0, abs=1e-10)
     assert report.restarts == QUICK_OPTS.restarts
 
 
@@ -461,7 +459,6 @@ def test_lockstep_restarts_match_restarts_run_alone(case):
 def test_maximize_gamma_mixed_product_state():
     rho = bg.random_product(bg.BipartiteDims(2, 2), 3)
     report = bg.maximize_gamma(rho, bg.CONCURRENCE_MATCHED, bg.OptimizerOptions(restarts=2, max_sweeps=6))
-    assert report.schmidt_gamma is None
     assert report.best_gamma < 1e-9
 
 
@@ -624,8 +621,6 @@ def test_pure_search_is_the_search_on_its_density_matrix(dims):
     assert np.array_equal(pure.best_unitary.u_a, dense.best_unitary.u_a)
     assert np.array_equal(pure.best_unitary.u_b, dense.best_unitary.u_b)
     assert (pure.iterations, pure.converged) == (dense.iterations, dense.converged)
-    assert pure.schmidt_gamma == bg.gamma_schmidt(psi, cfg)
-    assert dense.schmidt_gamma is None
 
 
 @pytest.mark.parametrize("dims", ["2x2", "2x3"])
@@ -711,7 +706,7 @@ def test_search_memory_peak_at_the_largest_input_dims():
 
 
 def test_conjecture_sweep_rows_and_summary():
-    report = bg.conjecture_sweep(["2x2"], trials=5, seed=9, opts=SWEEP_OPTS)
+    report = bg.conjecture_sweep(["2x2"], trials=5, seed=9)
     assert len(report.rows) == 5
     summary = report.summaries[0]
     assert summary.dims == "2x2"

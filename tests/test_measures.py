@@ -25,6 +25,13 @@ def test_measure_config_needs_a_finite_positive_n2(n2):
         bg.MeasureConfig(n2=n2)
 
 
+def test_measure_config_bounds_n2_below_the_fourier_overflow():
+    cfg = bg.MeasureConfig(n2=bg.measures.MAX_N2)
+    assert math.isfinite(bg.gamma_via_povm(bg.random_density(bg.BipartiteDims(3, 3), 0), cfg))
+    with pytest.raises(ValueError, match="n2 must be at most 1e\\+300, got 1.01e\\+300"):
+        bg.MeasureConfig(n2=1.01e300)
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4)])
 def test_gamma_vanishes_on_product_states(dims, seed):

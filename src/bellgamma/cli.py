@@ -17,7 +17,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 
 from .bell import MAX_DRAWS, ShotErrorRow, shot_error_table
@@ -48,6 +47,9 @@ SEPARABLE_TOL = 1e-12
 #: sweep cap.  Flagged or not, a density ``gamma_sup`` is the best value a
 #: local search found, and it can sit percent-level below the supremum.
 NOT_CONVERGED_FLAG = "sup-not-converged"
+#: ``conjecture`` exits 1 once some trial's |best_gamma - i_concurrence|
+#: reaches this.
+CONJECTURE_TOL = 1e-4
 
 #: Fixed column order of the measure report (documented in the README).
 REPORT_COLUMNS = [
@@ -124,28 +126,10 @@ _seed = _int_at_least(0, "a non-negative integer")
 _threads = _int_at_least(1, "a positive integer")
 
 
-def _threshold(text: str) -> float:
-    """A --threshold value: ``worst < threshold`` is only meaningful for a
-    finite, non-negative bound."""
-    try:
-        value = float(text)
-        if math.isfinite(value) and value >= 0.0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
-
-
 def _add_state(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("state", help="path to a .qstate.json file")
     parser.add_argument(
         "--renormalize", action="store_true", help="rescale a near-normalized pure state"
-    )
-
-
-def _add_grid(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--grid", type=int, default=4, help="Fourier points per phase axis (3 to 64)"
     )
 
 
@@ -185,7 +169,7 @@ def cmd_measure(args) -> int:
         ic = schmidt_val = cg4 = c23 = None
 
     breakdown = gamma(rho, cfg)
-    povm = gamma_via_povm(rho, cfg, grid=args.grid)
+    povm = gamma_via_povm(rho, cfg)
     flags = []
     if isinstance(state, PureState):
         # Per quadruple, ||x| - |y|| <= |x - y|, the modulus of a 2x2
@@ -252,7 +236,7 @@ def cmd_conjecture(args) -> int:
             f"by more than {OVERSHOOT_MARGIN}",
             file=sys.stderr,
         )
-    return 0 if worst < args.threshold and not overshoots else 1
+    return 0 if worst < CONJECTURE_TOL and not overshoots else 1
 
 
 def cmd_povm_check(args) -> int:
@@ -260,7 +244,7 @@ def cmd_povm_check(args) -> int:
     state = load_state(args.state, renormalize=args.renormalize)
     rho = pure_to_density(state) if isinstance(state, PureState) else state
     direct = gamma(rho, cfg).total
-    via = gamma_via_povm(rho, cfg, grid=args.grid)
+    via = gamma_via_povm(rho, cfg)
     diff = abs(direct - via)
     print(f"gamma={fmt(direct)}")
     print(f"gamma_via_povm={fmt(via)}")
@@ -315,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         "measure", help="all scalar quantities for one state file"
     )
     _add_state(p_measure)
-    _add_grid(p_measure)
     _add_n2(p_measure)
     _add_seed_and_output(p_measure)
     p_measure.set_defaults(func=cmd_measure)
@@ -330,12 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dimensions to test (repeatable; default 2x2 and 2x3)",
     )
     p_conj.add_argument("--trials", type=int, default=50)
-    p_conj.add_argument(
-        "--threshold",
-        type=_threshold,
-        default=1e-4,
-        help="max allowed |best - i_concurrence| for exit code 0 (finite, >= 0)",
-    )
     _add_seed_and_output(p_conj)
     p_conj.add_argument(
         "--threads",
@@ -349,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         "povm-check", help="compare the coefficient and Fourier routes"
     )
     _add_state(p_povm)
-    _add_grid(p_povm)
     _add_n2(p_povm)
     p_povm.set_defaults(func=cmd_povm_check)
 

@@ -2,12 +2,16 @@
 
 All matrices are plain ``numpy.ndarray`` of ``complex128`` in row-major
 (C) order.  Public indices are 1-based, mirroring the usual physics
-convention for density-matrix coefficients; the translation to 0-based
-storage lives in :func:`pair_index` and nowhere else.
+convention for density-matrix coefficients: :func:`pair_index` and
+:func:`level_pair` map level pairs to 1-based joint indices and back.  Each
+array lookup shifts to 0-based storage itself: ``_quadruple_arrays`` here,
+``bell._positions``, ``bell._plan_positions``, ``phase_povm._factor_stacks``,
+``local_unitary._generator_anchors`` and ``states.bell_vector``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,6 +21,8 @@ import numpy as np
 #: package is at most a few tens of rows, so accumulated rounding stays far
 #: below this.
 DEFAULT_TOL = 1e-12
+
+_DIMS_LABEL = re.compile(r"([0-9]+)[xX]([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -41,15 +47,13 @@ class BipartiteDims:
 
     @classmethod
     def parse(cls, text: str) -> "BipartiteDims":
-        """Parse a label like ``"2x3"`` into dimensions."""
-        parts = text.lower().split("x")
-        if len(parts) != 2:
+        """Parse a label like ``"2x3"`` into dimensions: ASCII digits, ``x``
+        or ``X``, ASCII digits, and nothing else.  ``int`` alone would also
+        take signs, underscores, spaces and non-ASCII digits."""
+        match = _DIMS_LABEL.fullmatch(text)
+        if match is None:
             raise ValueError(f"expected dims like '2x3', got {text!r}")
-        try:
-            m, n = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"expected dims like '2x3', got {text!r}") from exc
-        return cls(m, n)
+        return cls(int(match[1]), int(match[2]))
 
 
 #: Largest subsystem dimension a state file or ``conjecture --dims`` may

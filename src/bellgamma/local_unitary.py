@@ -245,6 +245,15 @@ class OptimizerOptions:
 
 @dataclass(frozen=True)
 class SupremumReport:
+    """The outcome of one ``maximize_gamma`` call.
+
+    ``best_gamma`` is the largest value any restart reached, and
+    ``best_unitary`` the local unitary of the first restart that reached it.
+    ``iterations`` is the number of sweeps summed over all ``restarts``.
+    ``converged`` is true when every restart stopped on its own convergence
+    test rather than at ``max_sweeps``.
+    """
+
     best_gamma: float
     best_unitary: LocalUnitary
     iterations: int
@@ -681,12 +690,12 @@ def conjecture_sweep(dims_list, trials: int, seed: int, threads: int = 1) -> Con
     normalization n2 = 4 where the two are equal.
 
     Per-trial seeds are fixed up front, so results are deterministic for any
-    thread count.  There is one summary per entry of ``dims_list``, labelled
-    with its parsed dims.
+    thread count.  ``dims_list`` holds dims labels like ``"2x3"``; there is
+    one summary per entry, labelled with its parsed dims.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    parsed = [BipartiteDims.parse(d) if isinstance(d, str) else d for d in dims_list]
+    parsed = [BipartiteDims.parse(d) for d in dims_list]
     tasks = [(d, di, t) for di, d in enumerate(parsed) for t in range(trials)]
     if threads > 1 and tasks:
         # Imported here: only a threaded sweep needs the pool, and loading

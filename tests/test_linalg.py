@@ -186,6 +186,18 @@ def test_dims_validation_and_parse():
         BipartiteDims.parse("3by4")
 
 
+@pytest.mark.parametrize("text", ["2x3", "2X3", "02x3"])
+def test_dims_parse_reads_ascii_digits_around_x(text):
+    assert BipartiteDims.parse(text) == BipartiteDims(2, 3)
+
+
+@pytest.mark.parametrize("text", ["0_2x3", "+2x3", " 2x3", "2x3 ", "2 x 3", "2x3\n",
+                                  "\uff12x3", "2x\u0663", "x3", "2x", "2xx3", "2x3x4", ""])
+def test_dims_parse_refuses_what_int_alone_would_accept(text):
+    with pytest.raises(ValueError, match="expected dims like '2x3'"):
+        BipartiteDims.parse(text)
+
+
 def test_as_complex_matrix_rejects_vectors():
     with pytest.raises(ValueError):
         as_complex_matrix(np.arange(4))
